@@ -15,14 +15,14 @@
 //                time / wall time) / threads
 //   bytes/UE     flat-row storage per background UE
 //
-// The determinism tri-run executes a small coupled scenario at 1, 2 and 8
-// workers (work-stealing gang live at 2 and 8) and requires byte-identical
+// The determinism sweep executes a small coupled scenario at 1, 2, 4 and 8
+// workers (helper threads live from 2 on) and requires byte-identical
 // merged metrics. `--strict` additionally gates the sweep reaching >= 1M
 // background UEs across >= 1000 cells — the ROADMAP city-scale floor.
 //
 // CLI: [--packets N] (tracked packets per cell) [--seed S] [--json FILE]
 //      [--strict] [--smoke] (tiny sweep for sanitizer CI; --strict then
-//      gates only the determinism tri-run, not the city-scale floor)
+//      gates only the determinism sweep, not the city-scale floor)
 
 #include <chrono>
 #include <cstdio>
@@ -101,11 +101,11 @@ Row run_row(std::uint64_t seed, int cells, int bg_ues, int packets, int threads)
   return r;
 }
 
-/// Small coupled scenario at 1/2/8 workers: merged metrics must be
-/// byte-identical (stealing live at 2 and 8 workers).
-bool determinism_tri_run(std::uint64_t seed) {
+/// Small coupled scenario at 1/2/4/8 workers: merged metrics must be
+/// byte-identical (cells split across 2, 4 and 8 worker slices).
+bool determinism_sweep(std::uint64_t seed) {
   std::string baseline;
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 4, 8}) {
     StackConfig cfg = city_config(seed, 8, 200);
     cfg.num_ues = 2;
     cfg.intercell_load_coupling = 0.02;
@@ -157,8 +157,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", out.render().c_str());
 
-  const bool identical = determinism_tri_run(opt.seed);
-  std::printf("merged metrics across 1/2/8 workers: %s\n",
+  const bool identical = determinism_sweep(opt.seed);
+  std::printf("merged metrics across 1/2/4/8 workers: %s\n",
               identical ? "bitwise-identical" : "MISMATCH");
 
   long long max_bg = 0;

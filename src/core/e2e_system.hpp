@@ -93,9 +93,10 @@ class E2eSystem {
   // -- Loss accounting ------------------------------------------------------
   // Every offered packet ends in exactly one bucket: delivered, dropped on
   // HARQ budget exhaustion, dropped stranded (no retransmission opportunity
-  // within the retry cap), or dropped by a UPF outage. Tests assert
-  // `offered == delivered + harq_dropped + stranded + upf_dropped` under
-  // 1-packet-per-TB traffic, so silent loss cannot deflate reliability.
+  // within the retry cap), discarded by PDCP-rx, or dropped by a UPF
+  // outage. Tests assert `offered == delivered + harq_dropped + stranded +
+  // pdcp_discards + upf_drops` under 1-packet-per-TB traffic, so silent loss
+  // cannot inflate reliability.
 
   /// TBs dropped after exhausting the HARQ transmission budget (UL and DL).
   [[nodiscard]] std::uint64_t harq_dropped_tbs() const;

@@ -1,9 +1,8 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
+#include <barrier>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -12,153 +11,78 @@
 
 namespace u5g {
 
-// ---------------------------------------------------------------------------
-// ShardGang: persistent window-execution crew.
+// ShardCrew: persistent window-execution threads over a static partition.
 //
-// The PR-4 engine paid one heap-allocated std::function, one queue push and
-// one pool wakeup per cell per slot window — at city scale that dispatch
-// cost dwarfed the work (BENCH_scaleout recorded 0.87× at 2 threads). The
-// gang amortises all of it: one window descriptor (cell array + target
-// time) is published per window and workers claim cells through per-cell
-// atomic epoch slots.
-//
-//   * Claiming. Window w publishes epoch E; worker threads copy the
-//     descriptor under the gang mutex. A worker claims position p by
-//     CAS-ing slots_[p] from a value < E to E; exactly one claimant wins,
-//     so every cell runs exactly once per window no matter how claims race.
-//     A cell pointer is dereferenced only after a successful claim, and
-//     once the engine has counted n completions every position is already
-//     claimed — a helper that scans late can therefore never touch a
-//     descriptor the engine is rebuilding.
-//   * Home ranges + stealing. Worker k starts its scan at offset k·n/width
-//     and wraps: it claims "its" contiguous range first (persistent across
-//     windows because width and n are stable) and then steals forward into
-//     ranges whose owner lags. Stealing moves a cell between threads, never
-//     between states — cells share no mutable state inside a window, so the
-//     claim schedule is invisible in the results.
-//   * Starvation throttle. With fewer cores than workers the helpers lose
-//     every claim race, and waking them per window is a futex round-trip
-//     for nothing. If helpers claim zero cells for kStarvedWindows
-//     consecutive windows the engine stops notifying them (still publishing
-//     epochs) except every kStarvedRetry-th window, so oversubscribed runs
-//     execute essentially the single-threaded instruction stream.
-//
-// Correctness never depends on helpers: the engine thread claims too, so a
-// helper that misses a wakeup only costs parallelism, and run() returns as
-// soon as the done_ count — incremented with release order after each cell,
-// matched by the engine's acquire loads — reaches n.
-// ---------------------------------------------------------------------------
-class ShardGang {
+// The engine thread is worker 0; `width - 1` helpers live as long as the
+// crew. Each window, worker w advances the contiguous slice
+// [n·w/width, n·(w+1)/width) of the dispatch list (empty when fewer cells
+// are active than workers). `start_` publishes the descriptor the engine
+// wrote before arriving and `done_` hands the finished cells back; barrier
+// completion orders those writes, so no lock or atomic guards them. Which
+// slice holds a cell decides its thread, never its state, and a width-1
+// crew's barriers complete on arrival: one path for every worker count.
+// A cell's exception is caught in its worker, which still reaches `done_`;
+// run() rethrows the first in cell order, so no helper is ever left inside
+// a window and the destructor can always release them through `start_`.
+class ShardCrew {
  public:
-  ShardGang(int helpers, std::size_t capacity)
-      : width_(helpers + 1), slots_(std::make_unique<std::atomic<std::uint64_t>[]>(capacity)) {
-    for (std::size_t i = 0; i < capacity; ++i) slots_[i].store(0, std::memory_order_relaxed);
-    helpers_.reserve(static_cast<std::size_t>(helpers));
-    for (int h = 1; h <= helpers; ++h) {
-      helpers_.emplace_back([this, h] { helper_loop(h); });
+  explicit ShardCrew(int width)
+      : width_(width), start_(width), done_(width), errors_(static_cast<std::size_t>(width)) {
+    for (int w = 1; w < width; ++w) {
+      helpers_.emplace_back([this, w] {
+        for (;;) {
+          start_.arrive_and_wait();
+          if (stop_) return;
+          work(w);
+          done_.arrive_and_wait();
+        }
+      });
     }
   }
 
-  ~ShardGang() {
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
+  ~ShardCrew() {
+    stop_ = true;
+    start_.arrive_and_wait();
     for (auto& t : helpers_) t.join();
   }
 
   [[nodiscard]] int width() const { return width_; }
 
-  /// Execute one window: advance items[0..n) to `to`, the engine thread
-  /// participating as worker 0. Returns once every cell has run.
+  /// Advance items[0..n) to `to`; returns once every slice has run.
   void run(Cell* const* items, std::size_t n, Nanos to) {
-    if (n == 0) return;
-    const std::uint64_t before = helper_claims_.load(std::memory_order_relaxed);
-    std::uint64_t epoch;
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      items_ = items;
-      n_ = n;
-      to_ = to;
-      done_.store(0, std::memory_order_relaxed);
-      epoch = ++epoch_;
-    }
-    if (starved_windows_ < kStarvedWindows || epoch % kStarvedRetry == 0) {
-      cv_.notify_all();
-    }
-    claim_and_run(items, n, to, epoch, /*worker=*/0);
-    while (done_.load(std::memory_order_acquire) < n) std::this_thread::yield();
-    if (helper_claims_.load(std::memory_order_relaxed) == before) {
-      if (starved_windows_ < kStarvedWindows) ++starved_windows_;
-    } else {
-      starved_windows_ = 0;
+    items_ = items;
+    n_ = n;
+    to_ = to;
+    std::fill(errors_.begin(), errors_.end(), nullptr);
+    start_.arrive_and_wait();
+    work(0);
+    done_.arrive_and_wait();
+    for (const auto& e : errors_) {
+      if (e) std::rethrow_exception(e);
     }
   }
 
  private:
-  static constexpr int kStarvedWindows = 4;
-  static constexpr std::uint64_t kStarvedRetry = 64;
-
-  void helper_loop(int worker) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Cell* const* items = nullptr;
-      std::size_t n = 0;
-      Nanos to{};
-      std::uint64_t epoch = 0;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-        if (stop_) return;
-        // Copy the *current* descriptor — a helper that slept through
-        // several windows simply joins the latest one.
-        seen = epoch = epoch_;
-        items = items_;
-        n = n_;
-        to = to_;
-      }
-      claim_and_run(items, n, to, epoch, worker);
-    }
-  }
-
-  void claim_and_run(Cell* const* items, std::size_t n, Nanos to, std::uint64_t epoch,
-                     int worker) {
-    const std::size_t start =
-        (static_cast<std::size_t>(worker) * n) / static_cast<std::size_t>(width_);
-    std::size_t claimed = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      std::size_t pos = start + k;
-      if (pos >= n) pos -= n;
-      std::uint64_t cur = slots_[pos].load(std::memory_order_relaxed);
-      if (cur >= epoch) continue;  // already claimed this window
-      if (!slots_[pos].compare_exchange_strong(cur, epoch, std::memory_order_acq_rel)) {
-        continue;  // lost the race to another worker
-      }
-      items[pos]->advance_to(to);
-      ++claimed;
-      done_.fetch_add(1, std::memory_order_release);
-    }
-    if (worker != 0 && claimed != 0) {
-      helper_claims_.fetch_add(claimed, std::memory_order_relaxed);
+  void work(int w) {
+    const auto width = static_cast<std::size_t>(width_);
+    const std::size_t lo = n_ * static_cast<std::size_t>(w) / width;
+    const std::size_t hi = n_ * static_cast<std::size_t>(w + 1) / width;
+    try {
+      for (std::size_t i = lo; i < hi; ++i) items_[i]->advance_to(to_);
+    } catch (...) {
+      errors_[static_cast<std::size_t>(w)] = std::current_exception();
     }
   }
 
   const int width_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;  ///< last claiming epoch per position
-  std::atomic<std::size_t> done_{0};
-  std::atomic<std::uint64_t> helper_claims_{0};
-  int starved_windows_ = 0;  ///< engine thread only
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  // Window descriptor + epoch, guarded by mu_.
+  std::barrier<> start_;
+  std::barrier<> done_;
+  // Window descriptor: written by the engine before `start_`.
   Cell* const* items_ = nullptr;
   std::size_t n_ = 0;
   Nanos to_{};
-  std::uint64_t epoch_ = 0;
   bool stop_ = false;
-
+  std::vector<std::exception_ptr> errors_;  ///< one per worker, cleared before `start_`
   std::vector<std::thread> helpers_;
 };
 
@@ -173,13 +97,12 @@ ShardedEngine::ShardedEngine(const StackConfig& base, ShardedOptions opt) : base
   active_.reserve(cells_.size());
   load_.resize(cells_.size());
   xlink_.resize(cells_.size());
-  const int threads = std::min(resolve_threads(opt.threads), base_.num_cells);
-  if (threads > 1) gang_ = std::make_unique<ShardGang>(threads - 1, cells_.size());
+  crew_ = std::make_unique<ShardCrew>(std::min(resolve_threads(opt.threads), base_.num_cells));
 }
 
 ShardedEngine::~ShardedEngine() = default;
 
-int ShardedEngine::threads() const { return gang_ ? gang_->width() : 1; }
+int ShardedEngine::threads() const { return crew_->width(); }
 
 void ShardedEngine::send_uplink_at(Nanos at, int cell, int ue) {
   if (cell < 0 || cell >= num_cells()) throw std::out_of_range{"ShardedEngine: cell index"};
@@ -204,11 +127,7 @@ void ShardedEngine::advance_all(Nanos to, bool filter_idle) {
   for (auto& c : cells_) {
     if (!filter_idle || c->next_activity() <= to) active_.push_back(c.get());
   }
-  if (gang_) {
-    gang_->run(active_.data(), active_.size(), to);
-  } else {
-    for (Cell* c : active_) c->advance_to(to);
-  }
+  crew_->run(active_.data(), active_.size(), to);
 }
 
 void ShardedEngine::exchange_load() {

@@ -28,22 +28,21 @@
 //     inter-cell load signal scales neighbours' gNB processing through
 //     `intercell_load_coupling` × `gnb_load_factor_per_ue` at each barrier.
 //
-// Execution model: a persistent ShardGang (sharded.cpp) replaces the PR-1
-// ThreadPool here. The engine thread publishes one window descriptor —
-// no per-cell closures, no queue traffic — and participates as worker 0;
-// helper workers claim cells through per-cell atomic epoch slots, each
-// starting from its own home range and stealing forward into lagging
-// ranges. When helpers win no work for several consecutive windows (the
-// 1-core container), the engine stops waking them and the multi-threaded
-// path degenerates to the single-threaded instruction stream.
+// Execution model: a persistent ShardCrew (sharded.cpp) of `threads`
+// workers, the engine thread being worker 0. Each window the engine builds
+// the dispatch list, worker w advances the contiguous slice
+// [n·w/W, n·(w+1)/W) of it, and two std::barrier phases (start, done)
+// separate consecutive windows. A 1-worker crew has no helper threads and
+// runs the same code path.
 //
 // Determinism contract (matching sim/runner.hpp): cell i always receives
 // `cell_seed(seed, i)`; shards share no mutable state inside a window
 // (BufferPool free-lists are thread-local and migration-safe); all
 // cross-shard exchange and every merge happens on the engine thread in
-// fixed cell order. Which worker claims a cell affects wall-clock only,
+// fixed cell order. Which worker runs a cell affects wall-clock only,
 // never state — merged results are bitwise-identical across worker thread
-// counts (work-stealing included) for the same config and injections.
+// counts for the same config and injections. A cell's exception propagates
+// out of run_until() on the engine thread, first in cell order.
 
 #include <cstdint>
 #include <memory>
@@ -54,7 +53,7 @@
 
 namespace u5g {
 
-class ShardGang;
+class ShardCrew;
 
 struct ShardedOptions {
   int threads = 0;  ///< worker count; 0 = hardware concurrency
@@ -134,7 +133,7 @@ class ShardedEngine {
   StackConfig base_;
   Nanos slot_;
   std::vector<std::unique_ptr<Cell>> cells_;
-  std::unique_ptr<ShardGang> gang_;  ///< null when running single-threaded
+  std::unique_ptr<ShardCrew> crew_;  ///< window workers, engine thread included
   std::vector<Cell*> active_;        ///< window dispatch list, storage reused
   std::vector<double> load_;         ///< barrier scratch, storage reused
   std::vector<double> xlink_;        ///< barrier scratch: DL-upgrade activity

@@ -1,7 +1,7 @@
 // Dynamic slot-format policy, end to end: DL preemption's loss accounting
 // (the PR-5 identity extended with punctured_retx), the puncture mechanics
 // themselves, the disabled policy's bitwise invisibility, and the sharded
-// engine's cross-link coupling under 1/2/8-worker determinism. Scenario
+// engine's cross-link coupling under 1/2/4/8-worker determinism. Scenario
 // idiom follows test_fault.cpp (sequential rounds, one SDU per TB) and
 // test_sharded.cpp (bitwise merge comparisons).
 
@@ -14,6 +14,7 @@
 #include "core/e2e_system.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "fault/scenario.hpp"
+#include "loss_identity.hpp"
 #include "sim/sharded.hpp"
 #include "tdd/dynamic_format.hpp"
 
@@ -45,15 +46,6 @@ void send_preemption_rounds(E2eSystem& sys, int rounds) {
     sys.send_downlink_at(base, 1);
     sys.send_downlink_at(base + Nanos{600'000}, 0);
   }
-}
-
-void expect_loss_identity(const E2eSystem& sys, std::uint64_t offered) {
-  std::uint64_t delivered = 0;
-  for (const PacketRecord& r : sys.records()) delivered += r.ok ? 1 : 0;
-  EXPECT_EQ(delivered, sys.packets_delivered());
-  EXPECT_EQ(offered, delivered + sys.harq_dropped_tbs() + sys.stranded_drops() +
-                         sys.fault_counters().upf_drops)
-      << "silent packet loss: some offered packet ended in no bucket";
 }
 
 }  // namespace
@@ -232,7 +224,7 @@ TEST(DynamicTddShardedTest, CrossLinkCouplingDeterministicAcrossWorkers) {
   constexpr int kRounds = 24;
   std::vector<double> baseline;
   std::uint64_t base_delivered = 0, base_upgraded = 0, base_xlink = 0, base_punct = 0;
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {1, 2, 4, 8}) {
     StackConfig cfg = xlink_scenario(48);
     ShardedEngine eng(cfg, ShardedOptions{threads});
     send_xlink_rounds(eng, cfg.num_cells, kRounds);

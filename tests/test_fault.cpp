@@ -1,11 +1,8 @@
 // Fault-injection subsystem (src/fault/): the Gilbert–Elliott channel
 // process, scenario windows, injector determinism, every fault kind's
-// end-to-end effect, the HARQ loss-recovery regressions this PR fixes, and
-// the loss-accounting invariant that makes silent packet loss impossible:
-//
-//   offered == delivered + harq_dropped + stranded + upf_dropped
-//
-// under one-packet-per-TB traffic, for UL grant-based, UL grant-free and DL.
+// end-to-end effect, the HARQ loss-recovery regressions, and the
+// loss-accounting identity (loss_identity.hpp) that makes silent packet loss
+// impossible, for UL grant-based, UL grant-free and DL.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +15,7 @@
 #include "fault/gilbert_elliott.hpp"
 #include "fault/injector.hpp"
 #include "fault/scenario.hpp"
+#include "loss_identity.hpp"
 #include "mac/harq.hpp"
 #include "sim/sharded.hpp"
 #include "tdd/common_config.hpp"
@@ -256,9 +254,7 @@ TEST(FaultE2eTest, UpfOutageDropsAreAccounted) {
     sys.run_until(2_ms * (kPackets + 50));
     EXPECT_EQ(sys.packets_delivered(), 0u);
     EXPECT_EQ(sys.fault_counters().upf_drops, static_cast<std::uint64_t>(kPackets));
-    EXPECT_EQ(sys.records().size() - sys.packets_delivered() - sys.harq_dropped_tbs() -
-                  sys.stranded_drops(),
-              sys.fault_counters().upf_drops);
+    expect_loss_identity(sys, kPackets);
   }
 }
 
@@ -308,9 +304,7 @@ TEST(FaultRegressionTest, StrandedUlRetransmissionIsCountedNotLeaked) {
   EXPECT_EQ(sys.stranded_drops(), 1u);
   EXPECT_EQ(sys.harq_dropped_tbs(), 0u);
   EXPECT_FALSE(sys.records()[0].ok);
-  EXPECT_EQ(sys.records().size(),
-            sys.packets_delivered() + sys.harq_dropped_tbs() + sys.stranded_drops() +
-                sys.fault_counters().upf_drops);
+  expect_loss_identity(sys, 1);
 }
 
 TEST(FaultRegressionTest, ReLostTbKeepsOldestFirstRecoveryOrder) {
@@ -357,13 +351,7 @@ void expect_accounting_invariant(StackConfig cfg, Direction dir, int packets) {
   // window booking pushes recovery grants far past the last send time.
   sys.run_until(2_ms * packets + 2000_ms);
 
-  std::uint64_t delivered = 0;
-  for (const PacketRecord& r : sys.records()) delivered += r.ok ? 1 : 0;
-  EXPECT_EQ(delivered, sys.packets_delivered());
-  EXPECT_EQ(static_cast<std::uint64_t>(packets),
-            delivered + sys.harq_dropped_tbs() + sys.stranded_drops() +
-                sys.fault_counters().upf_drops)
-      << "silent packet loss: some offered packet ended in no bucket";
+  expect_loss_identity(sys, static_cast<std::uint64_t>(packets));
   EXPECT_EQ(sys.stranded_drops(), 0u);  // nothing starves in these configs
   EXPECT_GT(sys.harq_dropped_tbs(), 0u);  // loss 0.35, budget 2: drops happen
 }
@@ -431,7 +419,7 @@ TEST(FaultShardedTest, MergedResultsIdenticalAcrossWorkerCountsWithFaults) {
   std::string baseline_metrics;
   std::vector<double> baseline_samples;
 
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 4, 8}) {
     StackConfig cfg = StackConfig::testbed_grant_free(77);
     cfg.num_cells = 4;
     cfg.num_ues = 1;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/e2e_system.hpp"
+#include "loss_identity.hpp"
 #include "phy/lbt.hpp"
 #include "sim/sharded.hpp"
 
@@ -230,10 +231,7 @@ TEST(LbtE2eTest, LossConservationIncludesCollisions) {
   for (int i = 0; i < offered; ++i) sys.send_uplink_at(Nanos{1'000'000 + i * 500'000LL});
   sys.run_until(Nanos{1'000'000 + offered * 500'000LL + 100'000'000LL});
   EXPECT_GT(sys.lbt_stats().hidden_collisions, 0u);
-  std::uint64_t ok = 0;
-  for (const PacketRecord& r : sys.records()) ok += r.ok ? 1 : 0;
-  EXPECT_EQ(offered, static_cast<int>(ok + sys.harq_dropped_tbs() + sys.stranded_drops() +
-                                      sys.pdcp_discards()));
+  expect_loss_identity(sys, offered);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,11 +263,11 @@ ShardedRun run_sharded(int workers) {
 
 TEST(LbtShardedTest, DeterministicAcrossWorkerCounts) {
   // Each cell owns an independent gate seeded from its cell seed; merged
-  // results must be bitwise identical for 1, 2 and 8 workers.
+  // results must be bitwise identical for 1, 2, 4 and 8 workers.
   const ShardedRun one = run_sharded(1);
   EXPECT_GT(one.lbt.attempts, 0u);
   EXPECT_GT(one.lbt.deferral_total, Nanos{});
-  for (int workers : {2, 8}) {
+  for (int workers : {2, 4, 8}) {
     const ShardedRun w = run_sharded(workers);
     EXPECT_EQ(one.delivered, w.delivered) << workers << " workers";
     EXPECT_EQ(one.ul_us, w.ul_us) << workers << " workers";

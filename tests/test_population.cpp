@@ -5,8 +5,8 @@
 // The population's RNG stream is forked from cell_seed ^ salt, so attaching
 // a population must not move a single draw of the tracked E2eSystem — the
 // parity tests below pin that, and the cross-thread tests pin that the
-// work-stealing gang (which claims population-carrying cells) stays bitwise
-// deterministic.
+// static cell partition (which splits population-carrying cells across
+// workers) stays bitwise deterministic.
 
 #include <gtest/gtest.h>
 
@@ -196,7 +196,7 @@ void inject_tracked(ShardedEngine& eng) {
 TEST(PopulatedEngineTest, MergedResultsIdenticalAcrossWorkerCounts) {
   std::string baseline;
   std::uint64_t baseline_delivered = 0;
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 4, 8}) {
     ShardedEngine eng(populated_scenario(5), ShardedOptions{threads});
     inject_tracked(eng);
     eng.run_until(Nanos{40'000'000});
@@ -210,8 +210,8 @@ TEST(PopulatedEngineTest, MergedResultsIdenticalAcrossWorkerCounts) {
       baseline = merged;
       baseline_delivered = totals.delivered;
     } else {
-      // Work-stealing claims are live at 2 and 8 workers; results must not
-      // know which thread ran which cell.
+      // At 2, 4 and 8 workers every worker's slice holds population cells;
+      // results must not know which thread ran which cell.
       EXPECT_EQ(merged, baseline) << "threads=" << threads;
       EXPECT_EQ(totals.delivered, baseline_delivered);
     }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,10 @@ Nanos offset_of(int cell, int ue, int p) {
   return Nanos{static_cast<std::int64_t>(h % static_cast<std::uint64_t>(kPeriod.count()))};
 }
 
-void inject_traffic(ShardedEngine& eng, int num_ues, int packets) {
-  for (int c = 0; c < eng.num_cells(); ++c) {
+/// Traffic on every `stride`-th cell; the others stay idle, so with a
+/// stride > 1 filter_idle dispatches fewer cells than there are workers.
+void inject_traffic(ShardedEngine& eng, int num_ues, int packets, int stride = 1) {
+  for (int c = 0; c < eng.num_cells(); c += stride) {
     for (int u = 0; u < num_ues; ++u) {
       for (int p = 0; p < packets; ++p) {
         const Nanos base = kPeriod * (2 * p);
@@ -54,33 +57,74 @@ void inject_traffic(ShardedEngine& eng, int num_ues, int packets) {
 
 TEST(ShardedEngineTest, MergedResultsIdenticalAcrossThreadCounts) {
   constexpr int kPackets = 5;
-  std::string baseline_metrics;
-  std::vector<double> baseline_samples;
-  std::uint64_t baseline_events = 0;
+  // stride 1 loads every cell; stride 4 loads cells 0 and 4 only, so most
+  // windows dispatch two cells to up to eight workers and leave slices empty.
+  for (const int stride : {1, 4}) {
+    std::string baseline_metrics;
+    std::vector<double> baseline_samples;
+    std::uint64_t baseline_events = 0;
 
-  for (int threads : {1, 2, 8}) {
-    StackConfig cfg = eight_cell_scenario(/*seed=*/42);
-    ShardedEngine eng(cfg, ShardedOptions{threads});
-    inject_traffic(eng, cfg.num_ues, kPackets);
-    eng.run_until(kPeriod * (2 * kPackets + 10));
+    for (int threads : {1, 2, 4, 8}) {
+      StackConfig cfg = eight_cell_scenario(/*seed=*/42);
+      ShardedEngine eng(cfg, ShardedOptions{threads});
+      ASSERT_EQ(threads, eng.threads());
+      inject_traffic(eng, cfg.num_ues, kPackets, stride);
+      if (stride > 1) ASSERT_EQ(Nanos::max(), eng.cell(1).next_activity());
+      eng.run_until(kPeriod * (2 * kPackets + 10));
 
-    ASSERT_GT(eng.packets_delivered(), 0u);
-    const std::string metrics = eng.merged_metrics().to_json();
-    SampleSet ul = eng.latency_samples_us(Direction::Uplink);
-    SampleSet dl = eng.latency_samples_us(Direction::Downlink);
-    SampleSet merged = ul;
-    merged.merge(dl);
-    if (threads == 1) {
-      baseline_metrics = metrics;
-      baseline_samples = merged.samples();
-      baseline_events = eng.events_fired();
-      continue;
+      ASSERT_GT(eng.packets_delivered(), 0u);
+      const std::string metrics = eng.merged_metrics().to_json();
+      SampleSet ul = eng.latency_samples_us(Direction::Uplink);
+      SampleSet dl = eng.latency_samples_us(Direction::Downlink);
+      SampleSet merged = ul;
+      merged.merge(dl);
+      if (threads == 1) {
+        baseline_metrics = metrics;
+        baseline_samples = merged.samples();
+        baseline_events = eng.events_fired();
+        continue;
+      }
+      // Bitwise: identical JSON (counters + histogram buckets), identical
+      // latency samples in identical merge order, identical event counts.
+      EXPECT_EQ(baseline_metrics, metrics) << "stride=" << stride << " threads=" << threads;
+      EXPECT_EQ(baseline_samples, merged.samples())
+          << "stride=" << stride << " threads=" << threads;
+      EXPECT_EQ(baseline_events, eng.events_fired())
+          << "stride=" << stride << " threads=" << threads;
     }
-    // Bitwise: identical JSON (counters + histogram buckets), identical
-    // latency samples in identical merge order, identical event counts.
-    EXPECT_EQ(baseline_metrics, metrics) << "threads=" << threads;
-    EXPECT_EQ(baseline_samples, merged.samples()) << "threads=" << threads;
-    EXPECT_EQ(baseline_events, eng.events_fired()) << "threads=" << threads;
+  }
+}
+
+TEST(ShardedEngineTest, MultiWorkerEngineShutsDownWithoutRunning) {
+  // Helpers park on the start barrier from construction on; destruction
+  // must release and join them even though no window ever ran.
+  for (const int threads : {2, 4, 8}) {
+    ShardedEngine eng(eight_cell_scenario(/*seed=*/1), ShardedOptions{threads});
+    EXPECT_EQ(threads, eng.threads());
+  }
+}
+
+TEST(ShardedEngineTest, CellExceptionPropagatesInCellOrder) {
+  // All four cells fire at kPeriod, so that window dispatches every cell;
+  // cells 1 and 3 throw. Cell 1 sits on the engine thread's slice at 2
+  // workers and on a helper's at 4, cell 3 on a helper's at both.
+  // run_until() must rethrow cell 1's exception for every worker count, and
+  // the engine must still shut down cleanly afterwards.
+  for (const int threads : {1, 2, 4}) {
+    StackConfig cfg = eight_cell_scenario(/*seed=*/2);
+    cfg.num_cells = 4;
+    ShardedEngine eng(cfg, ShardedOptions{threads});
+    for (int c = 0; c < eng.num_cells(); ++c) {
+      eng.cell(c).system().simulator().schedule_at(kPeriod, [c] {
+        if (c % 2 == 1) throw std::runtime_error{"cell " + std::to_string(c)};
+      });
+    }
+    try {
+      eng.run_until(kPeriod * 10);
+      ADD_FAILURE() << "threads=" << threads << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ("cell 1", e.what()) << "threads=" << threads;
+    }
   }
 }
 
