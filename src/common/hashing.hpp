@@ -33,6 +33,7 @@ namespace u5g {
 
 class CanonicalWords {
  public:
+  void reserve(std::size_t n) { words_.reserve(n); }
   void add(std::uint64_t w) { words_.push_back(w); }
   void add_signed(std::int64_t v) { words_.push_back(static_cast<std::uint64_t>(v)); }
   void add_bool(bool b) { words_.push_back(b ? 1 : 0); }

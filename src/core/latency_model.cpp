@@ -6,8 +6,15 @@ namespace u5g {
 
 namespace {
 
-void push_step(Timeline& tl, std::string label, Nanos start, Nanos end, LatencyCategory cat) {
-  if (end > start) tl.steps.push_back(TimelineStep{std::move(label), start, end, cat});
+// Each access mode has one timeline builder, templated on whether it records
+// its labelled steps. trace_transmission records; the worst-case sweep only
+// reads latency and feasibility, so it runs the same protocol sequence with
+// `Record = false` and allocates nothing.
+template <bool Record>
+void push_step(Timeline& tl, const char* label, Nanos start, Nanos end, LatencyCategory cat) {
+  if constexpr (Record) {
+    if (end > start) tl.steps.push_back(TimelineStep{label, start, end, cat});
+  }
 }
 
 Timeline infeasible(Nanos arrival) {
@@ -18,97 +25,116 @@ Timeline infeasible(Nanos arrival) {
   return tl;
 }
 
+template <bool Record>
 Timeline trace_grant_free_ul(const DuplexConfig& cfg, Nanos arrival,
                              const LatencyModelParams& p) {
   Timeline tl;
   tl.arrival = arrival;
 
   const Nanos ready = arrival + p.sender_processing + p.radio_tx;
-  push_step(tl, "UE stack APP\xe2\x86\x93 (SDAP/PDCP/RLC/MAC/PHY)", arrival,
-            arrival + p.sender_processing, LatencyCategory::Processing);
-  push_step(tl, "UE radio TX chain", arrival + p.sender_processing, ready, LatencyCategory::Radio);
+  push_step<Record>(tl, "UE stack APP\xe2\x86\x93 (SDAP/PDCP/RLC/MAC/PHY)", arrival,
+                    arrival + p.sender_processing, LatencyCategory::Processing);
+  push_step<Record>(tl, "UE radio TX chain", arrival + p.sender_processing, ready,
+                    LatencyCategory::Radio);
 
   const auto w = next_ul_tx(cfg, ready, p.data_tx_symbols);
   if (!w) return infeasible(arrival);
-  push_step(tl, "wait for UL opportunity", ready, w->start, LatencyCategory::Protocol);
-  push_step(tl, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
+  push_step<Record>(tl, "wait for UL opportunity", ready, w->start, LatencyCategory::Protocol);
+  push_step<Record>(tl, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
 
   const Nanos rx_done = w->end + p.radio_rx;
-  push_step(tl, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
+  push_step<Record>(tl, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
   tl.completion = rx_done + p.receiver_processing;
-  push_step(tl, "gNB stack MAC\xe2\x86\x91 (PHY/MAC/RLC/PDCP/SDAP)", rx_done, tl.completion,
-            LatencyCategory::Processing);
+  push_step<Record>(tl, "gNB stack MAC\xe2\x86\x91 (PHY/MAC/RLC/PDCP/SDAP)", rx_done, tl.completion,
+                    LatencyCategory::Processing);
   return tl;
 }
 
+template <bool Record>
 Timeline trace_grant_based_ul(const DuplexConfig& cfg, Nanos arrival,
                               const LatencyModelParams& p) {
   Timeline tl;
   tl.arrival = arrival;
 
   const Nanos sr_ready = arrival + p.sender_processing + p.radio_tx;
-  push_step(tl, "UE stack APP\xe2\x86\x93", arrival, arrival + p.sender_processing,
-            LatencyCategory::Processing);
-  push_step(tl, "UE radio TX chain", arrival + p.sender_processing, sr_ready,
-            LatencyCategory::Radio);
+  push_step<Record>(tl, "UE stack APP\xe2\x86\x93", arrival, arrival + p.sender_processing,
+                    LatencyCategory::Processing);
+  push_step<Record>(tl, "UE radio TX chain", arrival + p.sender_processing, sr_ready,
+                    LatencyCategory::Radio);
 
   // 1. Scheduling request at the next UL symbol (footnote 2).
   const auto sr = next_ul_tx(cfg, sr_ready, p.sr_symbols);
   if (!sr) return infeasible(arrival);
-  push_step(tl, "wait for SR opportunity", sr_ready, sr->start, LatencyCategory::Protocol);
-  push_step(tl, "SR over the air", sr->start, sr->end, LatencyCategory::Protocol);
+  push_step<Record>(tl, "wait for SR opportunity", sr_ready, sr->start, LatencyCategory::Protocol);
+  push_step<Record>(tl, "SR over the air", sr->start, sr->end, LatencyCategory::Protocol);
 
   // 2. gNB decodes the SR; the scheduler acts at its next per-granule run.
   const Nanos sr_known = sr->end + p.radio_rx + p.sr_decode;
-  push_step(tl, "gNB SR decode (radio+PHY)", sr->end, sr_known, LatencyCategory::Processing);
+  push_step<Record>(tl, "gNB SR decode (radio+PHY)", sr->end, sr_known,
+                    LatencyCategory::Processing);
   const Nanos decision = next_scheduler_run(cfg, sr_known);
-  push_step(tl, "wait for scheduler run", sr_known, decision, LatencyCategory::Protocol);
+  push_step<Record>(tl, "wait for scheduler run", sr_known, decision, LatencyCategory::Protocol);
 
   // 3. The UL grant rides the next DL control region.
   const auto ctrl = next_dl_control(cfg, decision);
   if (!ctrl) return infeasible(arrival);
-  push_step(tl, "wait for DL control opportunity", decision, ctrl->start,
-            LatencyCategory::Protocol);
-  push_step(tl, "UL grant over the air", ctrl->start, ctrl->end, LatencyCategory::Protocol);
+  push_step<Record>(tl, "wait for DL control opportunity", decision, ctrl->start,
+                    LatencyCategory::Protocol);
+  push_step<Record>(tl, "UL grant over the air", ctrl->start, ctrl->end, LatencyCategory::Protocol);
 
   // 4. UE decodes the grant and transmits at the next UL window.
   const Nanos grant_ready = ctrl->end + p.radio_rx + p.grant_decode + p.radio_tx;
-  push_step(tl, "UE grant decode + prep", ctrl->end, grant_ready, LatencyCategory::Processing);
+  push_step<Record>(tl, "UE grant decode + prep", ctrl->end, grant_ready,
+                    LatencyCategory::Processing);
   const auto w = next_ul_tx(cfg, grant_ready, p.data_tx_symbols);
   if (!w) return infeasible(arrival);
-  push_step(tl, "wait for granted UL window", grant_ready, w->start, LatencyCategory::Protocol);
-  push_step(tl, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
+  push_step<Record>(tl, "wait for granted UL window", grant_ready, w->start,
+                    LatencyCategory::Protocol);
+  push_step<Record>(tl, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
 
   const Nanos rx_done = w->end + p.radio_rx;
-  push_step(tl, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
+  push_step<Record>(tl, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
   tl.completion = rx_done + p.receiver_processing;
-  push_step(tl, "gNB stack MAC\xe2\x86\x91", rx_done, tl.completion, LatencyCategory::Processing);
+  push_step<Record>(tl, "gNB stack MAC\xe2\x86\x91", rx_done, tl.completion,
+                    LatencyCategory::Processing);
   return tl;
 }
 
+template <bool Record>
 Timeline trace_downlink(const DuplexConfig& cfg, Nanos arrival, const LatencyModelParams& p) {
   Timeline tl;
   tl.arrival = arrival;
 
   const Nanos ready = arrival + p.sender_processing + p.radio_tx;
-  push_step(tl, "gNB stack SDAP\xe2\x86\x93 (SDAP/PDCP/RLC)", arrival,
-            arrival + p.sender_processing, LatencyCategory::Processing);
-  push_step(tl, "gNB radio TX chain", arrival + p.sender_processing, ready,
-            LatencyCategory::Radio);
+  push_step<Record>(tl, "gNB stack SDAP\xe2\x86\x93 (SDAP/PDCP/RLC)", arrival,
+                    arrival + p.sender_processing, LatencyCategory::Processing);
+  push_step<Record>(tl, "gNB radio TX chain", arrival + p.sender_processing, ready,
+                    LatencyCategory::Radio);
 
   // Served in the first granule starting at or after readiness; the current
   // granule is already allocated (§5's DL worst-case rationale).
   const auto w = next_dl_data(cfg, ready);
   if (!w) return infeasible(arrival);
-  push_step(tl, "wait for DL slot", ready, w->start, LatencyCategory::Protocol);
-  push_step(tl, "DL data over the air", w->start, w->end, LatencyCategory::Protocol);
+  push_step<Record>(tl, "wait for DL slot", ready, w->start, LatencyCategory::Protocol);
+  push_step<Record>(tl, "DL data over the air", w->start, w->end, LatencyCategory::Protocol);
 
   const Nanos rx_done = w->end + p.radio_rx;
-  push_step(tl, "UE radio RX chain", w->end, rx_done, LatencyCategory::Radio);
+  push_step<Record>(tl, "UE radio RX chain", w->end, rx_done, LatencyCategory::Radio);
   tl.completion = rx_done + p.receiver_processing;
-  push_step(tl, "UE stack PHY\xe2\x86\x91 (PHY..APP)", rx_done, tl.completion,
-            LatencyCategory::Processing);
+  push_step<Record>(tl, "UE stack PHY\xe2\x86\x91 (PHY..APP)", rx_done, tl.completion,
+                    LatencyCategory::Processing);
   return tl;
+}
+
+template <bool Record>
+Timeline build_timeline(const DuplexConfig& cfg, AccessMode mode, Nanos arrival,
+                        const LatencyModelParams& p) {
+  switch (mode) {
+    case AccessMode::GrantFreeUl: return trace_grant_free_ul<Record>(cfg, arrival, p);
+    case AccessMode::GrantBasedUl: return trace_grant_based_ul<Record>(cfg, arrival, p);
+    case AccessMode::Downlink: return trace_downlink<Record>(cfg, arrival, p);
+  }
+  return infeasible(arrival);
 }
 
 }  // namespace
@@ -134,12 +160,7 @@ std::string Timeline::render() const {
 
 Timeline trace_transmission(const DuplexConfig& cfg, AccessMode mode, Nanos arrival,
                             const LatencyModelParams& p) {
-  switch (mode) {
-    case AccessMode::GrantFreeUl: return trace_grant_free_ul(cfg, arrival, p);
-    case AccessMode::GrantBasedUl: return trace_grant_based_ul(cfg, arrival, p);
-    case AccessMode::Downlink: return trace_downlink(cfg, arrival, p);
-  }
-  return infeasible(arrival);
+  return build_timeline<true>(cfg, mode, arrival, p);
 }
 
 WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
@@ -153,7 +174,7 @@ WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
   double sum = 0.0;
   std::size_t n = 0;
   auto probe = [&](Nanos offset) {
-    const Timeline tl = trace_transmission(cfg, mode, base + offset, p);
+    const Timeline tl = build_timeline<false>(cfg, mode, base + offset, p);
     if (!tl.feasible) {
       r.feasible = false;
       return;

@@ -95,7 +95,10 @@ struct WorstCaseResult {
 
 /// Sweeps arrivals over one full period: every symbol boundary, the instant
 /// just after it (+1 ns, the paper's "just after a DL slot starts" worst
-/// case), and `grid_per_symbol` interior points.
+/// case), and `grid_per_symbol` interior points. Each probe runs the same
+/// per-mode timeline builder as `trace_transmission`, with step recording
+/// off, so it matches `trace_transmission` probe for probe and the sweep
+/// performs no heap allocation.
 [[nodiscard]] WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
                                                  const LatencyModelParams& p = {},
                                                  int grid_per_symbol = 4);

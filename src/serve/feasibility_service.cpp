@@ -17,9 +17,13 @@ namespace {
 /// from ever being meaningful in the wrong one.
 constexpr std::uint64_t kAnalyticTag = 0xA11A'11CA;
 constexpr std::uint64_t kTailTag = 0x7A11'CAFE;
+/// Words analytic_key appends after the duplex identity: the mode, the eight
+/// LatencyModelParams fields and the grid density.
+constexpr std::size_t kAnalyticQueryWords = 10;
 
 CanonicalWords analytic_key(const FeasibilityQuery& q) {
   CanonicalWords k;
+  k.reserve(1 + q.duplex->value_word_count() + kAnalyticQueryWords);
   k.add(kAnalyticTag);
   q.duplex->append_value_words(k);
   k.add_signed(static_cast<int>(q.mode));
@@ -220,10 +224,11 @@ void FeasibilityService::query_batch_async(
 
 WorstCaseResult FeasibilityService::worst_case(const DuplexConfig& cfg, AccessMode mode,
                                                const LatencyModelParams& p, int grid_per_symbol) {
-  // Non-owning view: the query is answered synchronously, the handle never
+  // Non-owning view (aliasing an empty owner, so no control block is
+  // allocated): the query is answered synchronously, the handle never
   // outlives `cfg`.
   FeasibilityQuery q;
-  q.duplex = std::shared_ptr<const DuplexConfig>(&cfg, [](const DuplexConfig*) {});
+  q.duplex = std::shared_ptr<const DuplexConfig>(std::shared_ptr<void>{}, &cfg);
   q.mode = mode;
   q.model = p;
   q.grid_per_symbol = grid_per_symbol;

@@ -53,6 +53,12 @@ void DuplexConfig::append_value_words(CanonicalWords& words) const {
   if (bits > 0) words.add(w);
 }
 
+std::size_t DuplexConfig::value_word_count() const {
+  // Four scalars, then two bits per symbol packed 32 symbols to a word.
+  const auto symbols = static_cast<std::size_t>(period_slots()) * kSymbolsPerSlot;
+  return 4 + (symbols + 31) / 32;
+}
+
 std::uint64_t DuplexConfig::value_hash() const {
   CanonicalWords words;
   append_value_words(words);

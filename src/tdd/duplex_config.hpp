@@ -9,6 +9,7 @@
 // this interface; the worst-case engine (src/core) and the MAC scheduler
 // are written against it.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -72,6 +73,8 @@ class DuplexConfig {
 
   /// Append this config's observable value identity to `words`.
   void append_value_words(CanonicalWords& words) const;
+  /// How many words append_value_words appends, so callers can reserve.
+  [[nodiscard]] std::size_t value_word_count() const;
   /// Stable 64-bit fold of the value identity.
   [[nodiscard]] std::uint64_t value_hash() const;
 

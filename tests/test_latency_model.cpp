@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/latency_model.hpp"
 #include "tdd/common_config.hpp"
+#include "tdd/dynamic_format.hpp"
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
 #include "tdd/slot_format.hpp"
@@ -193,6 +196,54 @@ TEST(TimelineTest, GrantBasedContainsHandshakeSteps) {
   EXPECT_NE(rendered.find("UL data over the air"), std::string::npos);
 }
 
+TEST(TimelineTest, RenderedStepsArePinned) {
+  // Every step, label and duration of one timeline per access mode, byte for
+  // byte: the recording builders must keep their exact output.
+  const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
+  LatencyModelParams p;
+  p.sender_processing = 20_us;
+  p.receiver_processing = 30_us;
+  p.radio_tx = 10_us;
+  p.radio_rx = 15_us;
+  p.grant_decode = 25_us;
+  p.sr_decode = 12_us;
+  const Nanos at = dm.period() * 8 + 1_ns;
+  EXPECT_EQ(trace_transmission(dm, AccessMode::GrantBasedUl, at, p).render(),
+            "  [processing] UE stack APP\xe2\x86\x93: 0ns -> 20.000us (+20.000us)\n"
+            "  [radio] UE radio TX chain: 20.000us -> 30.000us (+10.000us)\n"
+            "  [protocol] wait for SR opportunity: 30.000us -> 357.141us (+327.141us)\n"
+            "  [protocol] SR over the air: 357.141us -> 374.998us (+17.857us)\n"
+            "  [processing] gNB SR decode (radio+PHY): 374.998us -> 401.998us (+27.000us)\n"
+            "  [protocol] wait for scheduler run: 401.998us -> 499.999us (+98.001us)\n"
+            "  [protocol] UL grant over the air: 499.999us -> 517.856us (+17.857us)\n"
+            "  [processing] UE grant decode + prep: 517.856us -> 567.856us (+50.000us)\n"
+            "  [protocol] wait for granted UL window: 567.856us -> 857.141us (+289.285us)\n"
+            "  [protocol] UL data over the air: 857.141us -> 892.855us (+35.714us)\n"
+            "  [radio] gNB radio RX chain: 892.855us -> 907.855us (+15.000us)\n"
+            "  [processing] gNB stack MAC\xe2\x86\x91: 907.855us -> 937.855us (+30.000us)\n"
+            "  total: 937.855us\n");
+  EXPECT_EQ(trace_transmission(dm, AccessMode::GrantFreeUl, at, p).render(),
+            "  [processing] UE stack APP\xe2\x86\x93 (SDAP/PDCP/RLC/MAC/PHY): 0ns -> 20.000us "
+            "(+20.000us)\n"
+            "  [radio] UE radio TX chain: 20.000us -> 30.000us (+10.000us)\n"
+            "  [protocol] wait for UL opportunity: 30.000us -> 357.141us (+327.141us)\n"
+            "  [protocol] UL data over the air: 357.141us -> 392.855us (+35.714us)\n"
+            "  [radio] gNB radio RX chain: 392.855us -> 407.855us (+15.000us)\n"
+            "  [processing] gNB stack MAC\xe2\x86\x91 (PHY/MAC/RLC/PDCP/SDAP): 407.855us -> "
+            "437.855us (+30.000us)\n"
+            "  total: 437.855us\n");
+  EXPECT_EQ(trace_transmission(dm, AccessMode::Downlink, at, p).render(),
+            "  [processing] gNB stack SDAP\xe2\x86\x93 (SDAP/PDCP/RLC): 0ns -> 20.000us "
+            "(+20.000us)\n"
+            "  [radio] gNB radio TX chain: 20.000us -> 30.000us (+10.000us)\n"
+            "  [protocol] wait for DL slot: 30.000us -> 249.999us (+219.999us)\n"
+            "  [protocol] DL data over the air: 249.999us -> 321.427us (+71.428us)\n"
+            "  [radio] UE radio RX chain: 321.427us -> 336.427us (+15.000us)\n"
+            "  [processing] UE stack PHY\xe2\x86\x91 (PHY..APP): 336.427us -> 366.427us "
+            "(+30.000us)\n"
+            "  total: 366.427us\n");
+}
+
 TEST(TimelineTest, InfeasibleConfigReported) {
   const SlotFormatConfig all_dl{kMu2, {0}};
   const Timeline tl = trace_transmission(all_dl, AccessMode::GrantFreeUl, 1_ns, {});
@@ -246,6 +297,168 @@ TEST(WorstCaseTest, LongerDataTransmissionsRaiseLatency) {
   four.data_tx_symbols = 4;
   EXPECT_LT(analyze_worst_case(dm, AccessMode::GrantFreeUl, one).worst,
             analyze_worst_case(dm, AccessMode::GrantFreeUl, four).worst);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the sweep against a reference built on the public,
+// recording trace_transmission
+
+/// The probe grid and accumulation order of analyze_worst_case, restated
+/// with every probe going through trace_transmission. analyze_worst_case
+/// runs the same builders with step recording off; the two must agree bit
+/// for bit on all five result fields.
+WorstCaseResult reference_sweep(const DuplexConfig& cfg, AccessMode mode,
+                                const LatencyModelParams& p, int grid_per_symbol) {
+  WorstCaseResult r;
+  const SlotClock clk = cfg.clock();
+  const Nanos base = cfg.period() * 8;
+  const Nanos sym = clk.symbol_duration();
+  double sum = 0.0;
+  std::size_t n = 0;
+  auto probe = [&](Nanos offset) {
+    const Timeline tl = trace_transmission(cfg, mode, base + offset, p);
+    if (!tl.feasible) {
+      r.feasible = false;
+      return;
+    }
+    if (tl.latency() > r.worst) {
+      r.worst = tl.latency();
+      r.worst_arrival_offset = offset;
+    }
+    r.best = std::min(r.best, tl.latency());
+    sum += static_cast<double>(tl.latency().count());
+    ++n;
+  };
+  for (int slot = 0; slot < cfg.period_slots() && r.feasible; ++slot) {
+    const Nanos slot_off = clk.slot_duration() * slot;
+    for (int s = 0; s < kSymbolsPerSlot && r.feasible; ++s) {
+      const Nanos boundary = slot_off + sym * s;
+      probe(boundary);
+      probe(boundary + Nanos{1});
+      for (int g = 1; g < grid_per_symbol; ++g) probe(boundary + sym * g / grid_per_symbol);
+    }
+  }
+  if (n > 0) r.mean = Nanos{static_cast<std::int64_t>(sum / static_cast<double>(n))};
+  if (r.best == Nanos::max()) r.best = Nanos::zero();
+  return r;
+}
+
+void expect_matches_reference(const DuplexConfig& cfg, AccessMode mode,
+                              const LatencyModelParams& p, int grid) {
+  const WorstCaseResult want = reference_sweep(cfg, mode, p, grid);
+  const WorstCaseResult got = analyze_worst_case(cfg, mode, p, grid);
+  const std::string where = cfg.name() + " " + to_string(mode) + " grid=" +
+                            std::to_string(grid) + " tx=" + std::to_string(p.data_tx_symbols) +
+                            " proc=" + to_string(p.sender_processing) + "/" +
+                            to_string(p.receiver_processing) + " radio=" +
+                            to_string(p.radio_tx) + "/" + to_string(p.radio_rx) +
+                            " decode=" + to_string(p.grant_decode) + "/" +
+                            to_string(p.sr_decode);
+  EXPECT_EQ(got.worst, want.worst) << where;
+  EXPECT_EQ(got.best, want.best) << where;
+  EXPECT_EQ(got.mean, want.mean) << where;
+  EXPECT_EQ(got.worst_arrival_offset, want.worst_arrival_offset) << where;
+  EXPECT_EQ(got.feasible, want.feasible) << where;
+}
+
+constexpr AccessMode kAllModes[] = {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl,
+                                    AccessMode::Downlink};
+
+/// Model variants: zero and non-zero processing, radio and decode times
+/// (odd values, so readiness lands between symbol boundaries), each at 1, 2
+/// and 4 data symbols.
+std::vector<LatencyModelParams> model_variants() {
+  std::vector<LatencyModelParams> out;
+  for (int tx : {1, 2, 4}) {
+    LatencyModelParams zero;
+    zero.data_tx_symbols = tx;
+    LatencyModelParams proc = zero;
+    proc.sender_processing = 31'111_ns;
+    proc.receiver_processing = 17'003_ns;
+    LatencyModelParams radio = zero;
+    radio.radio_tx = 9'999_ns;
+    radio.radio_rx = 41'234_ns;
+    LatencyModelParams decode = zero;
+    decode.grant_decode = 53'071_ns;
+    decode.sr_decode = 26'789_ns;
+    LatencyModelParams all = proc;
+    all.radio_tx = radio.radio_tx;
+    all.radio_rx = radio.radio_rx;
+    all.grant_decode = decode.grant_decode;
+    all.sr_decode = decode.sr_decode;
+    out.insert(out.end(), {zero, proc, radio, decode, all});
+  }
+  return out;
+}
+
+TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnTable1Configs) {
+  const auto variants = model_variants();
+  for (const char* name : {"DU", "DM", "MU", "MiniSlot", "FDD"}) {
+    const auto cfg = make_config(name);
+    for (AccessMode mode : kAllModes) {
+      for (int grid : {1, 4, 7}) {
+        for (const LatencyModelParams& p : variants) {
+          expect_matches_reference(*cfg, mode, p, grid);
+        }
+      }
+    }
+  }
+}
+
+TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnDynamicDuplex) {
+  // An overlay with committed upgrades across and beyond the swept periods:
+  // extra UL symbols at the end of some slots, extra DL at the start of
+  // others, uncommitted slots falling back to the DM base.
+  auto base = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
+  DynamicDuplexConfig dyn(base);
+  const SlotIndex slots = static_cast<SlotIndex>(base->period_slots()) * 10;
+  for (SlotIndex k = 0; k < slots; ++k) {
+    DecidedFormat f;
+    if (k % 3 == 1) f.added_ul = 0x3000;  // symbols 12-13
+    if (k % 5 == 2) f.added_dl = 0x0003;  // symbols 0-1
+    dyn.commit(k, f);
+  }
+  // The overlay is visible to the sweep: the added UL symbols shorten waits.
+  EXPECT_LT(analyze_worst_case(dyn, AccessMode::GrantFreeUl).mean,
+            analyze_worst_case(*base, AccessMode::GrantFreeUl).mean);
+  const auto variants = model_variants();
+  for (AccessMode mode : kAllModes) {
+    for (int grid : {1, 4, 7}) {
+      for (const LatencyModelParams& p : variants) {
+        expect_matches_reference(dyn, mode, p, grid);
+      }
+    }
+  }
+}
+
+TEST(WorstCaseOracleTest, MatchesRecordingReferenceWhenInfeasible) {
+  // No UL symbol at all: the sweep stops at its first probe, and the
+  // partial fields it reports must match the reference too.
+  const SlotFormatConfig all_dl{kMu2, {0}};
+  for (AccessMode mode : {AccessMode::GrantFreeUl, AccessMode::GrantBasedUl}) {
+    for (int grid : {1, 4, 7}) {
+      expect_matches_reference(all_dl, mode, {}, grid);
+    }
+  }
+  const WorstCaseResult wc = analyze_worst_case(all_dl, AccessMode::GrantFreeUl, {});
+  EXPECT_FALSE(wc.feasible);
+
+  // UL only in the last two symbols of the swept slot: early probes succeed,
+  // then the sweep hits an infeasible probe and stops with partial fields.
+  DynamicDuplexConfig late_ul(std::make_shared<SlotFormatConfig>(all_dl));
+  const SlotIndex swept = static_cast<SlotIndex>(all_dl.period_slots()) * 8;
+  for (SlotIndex k = 0; k <= swept; ++k) {
+    DecidedFormat f;
+    if (k == swept) f.added_ul = 0x3000;  // symbols 12-13
+    late_ul.commit(k, f);
+  }
+  const WorstCaseResult partial = analyze_worst_case(late_ul, AccessMode::GrantFreeUl, {});
+  EXPECT_FALSE(partial.feasible);
+  EXPECT_GT(partial.worst, Nanos::zero());
+  for (int grid : {1, 4, 7}) {
+    expect_matches_reference(late_ul, AccessMode::GrantFreeUl, {}, grid);
+    expect_matches_reference(late_ul, AccessMode::GrantFreeUl, model_variants().back(), grid);
+  }
 }
 
 }  // namespace

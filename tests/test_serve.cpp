@@ -21,6 +21,7 @@
 #include "tdd/common_config.hpp"
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
+#include "tdd/slot_format.hpp"
 
 namespace u5g {
 namespace {
@@ -139,6 +140,20 @@ TEST(DuplexIdentityTest, DistinctPatternsDiffer) {
   EXPECT_FALSE(value_equal(dm, du));
   EXPECT_FALSE(value_equal(dm, fdd));
   EXPECT_NE(dm.value_hash(), du.value_hash());
+}
+
+TEST(DuplexIdentityTest, ValueWordCountMatchesAppendedWords) {
+  // value_word_count() sizes the analytic key's reservation: it must equal
+  // what append_value_words appends, including a direction map that ends
+  // mid-word (5 slots) and one that fills its last word exactly (16 slots).
+  std::vector<std::unique_ptr<DuplexConfig>> cfgs = table1_configs();
+  cfgs.push_back(std::make_unique<SlotFormatConfig>(kMu2, std::vector<int>{0, 1, 0, 1, 2}));
+  cfgs.push_back(std::make_unique<SlotFormatConfig>(kMu2, std::vector<int>(16, 0)));
+  for (const auto& cfg : cfgs) {
+    CanonicalWords words;
+    cfg->append_value_words(words);
+    EXPECT_EQ(cfg->value_word_count(), words.size()) << cfg->name();
+  }
 }
 
 TEST(DuplexIdentityTest, NumerologyParticipates) {
