@@ -17,6 +17,7 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "core/e2e_system.hpp"
+#include "core/feasibility.hpp"
 #include "core/latency_model.hpp"
 #include "pdcp/pdcp_entity.hpp"
 #include "rlc/rlc_entity.hpp"
@@ -168,14 +169,44 @@ void BM_NextUlTx(benchmark::State& state) {
 }
 BENCHMARK(BM_NextUlTx);
 
-void BM_WorstCaseSweep(benchmark::State& state) {
+void BM_NextDlControl(benchmark::State& state) {
   const TddCommonConfig cfg = TddCommonConfig::dm(kMu2);
+  Nanos t{0};
   for (auto _ : state) {
-    const auto wc = analyze_worst_case(cfg, AccessMode::GrantBasedUl, {});
-    benchmark::DoNotOptimize(wc);
+    const auto w = next_dl_control(cfg, t);
+    benchmark::DoNotOptimize(w);
+    t = w ? w->start + Nanos{1} : Nanos{0};
+    if (t > Nanos{1'000'000'000}) t = Nanos{0};
   }
 }
-BENCHMARK(BM_WorstCaseSweep);
+BENCHMARK(BM_NextDlControl);
+
+void BM_NextDlData(benchmark::State& state) {
+  const TddCommonConfig cfg = TddCommonConfig::dm(kMu2);
+  Nanos t{0};
+  for (auto _ : state) {
+    const auto w = next_dl_data(cfg, t);
+    benchmark::DoNotOptimize(w);
+    t = w ? w->start + Nanos{1} : Nanos{0};
+    if (t > Nanos{1'000'000'000}) t = Nanos{0};
+  }
+}
+BENCHMARK(BM_NextDlData);
+
+/// One Table 1 cell per run: Arg 0 indexes table1_configs() (DU, DM, MU,
+/// MiniSlot, FDD), Arg 1 the access mode (grant-based UL, grant-free UL,
+/// DL). BM_WorstCaseSweep/1/0 is DM grant-based UL.
+void BM_WorstCaseSweep(benchmark::State& state) {
+  const auto cfgs = table1_configs();
+  const DuplexConfig& cfg = *cfgs[static_cast<std::size_t>(state.range(0))];
+  const auto mode = static_cast<AccessMode>(state.range(1));
+  for (auto _ : state) {
+    const auto wc = analyze_worst_case(cfg, mode, {});
+    benchmark::DoNotOptimize(wc);
+  }
+  state.SetLabel(cfg.name() + " " + to_string(mode));
+}
+BENCHMARK(BM_WorstCaseSweep)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}});
 
 }  // namespace
 

@@ -9,6 +9,27 @@ constexpr std::array<Nanos, 8> kStandardPeriods{
     Nanos{500'000},   Nanos{625'000},   Nanos{1'000'000}, Nanos{1'250'000},
     Nanos{2'000'000}, Nanos{2'500'000}, Nanos{5'000'000}, Nanos{10'000'000},
 };
+
+/// Direction masks of pattern-local slot `slot_in_pattern` of a pattern
+/// spanning `slots` slots.
+SlotMasks masks_in_pattern(const TddPattern& p, int slots, int slot_in_pattern) {
+  if (slot_in_pattern < p.dl_slots) return {kSlotSymbolMask, 0};
+  if (slot_in_pattern >= slots - p.ul_slots) return {0, kSlotSymbolMask};
+  // The slot right after the DL slots carries the partial DL symbols; the
+  // slot right before the UL slots carries the partial UL symbols. For the
+  // common single-mixed-slot case these coincide.
+  const bool has_mixed = p.dl_symbols > 0 || p.ul_symbols > 0;
+  SlotMasks m;
+  if (has_mixed && slot_in_pattern == p.dl_slots) {
+    m.dl = static_cast<std::uint16_t>((1u << p.dl_symbols) - 1u);
+  }
+  if (has_mixed && slot_in_pattern == slots - p.ul_slots - 1) {
+    const unsigned below_ul = (1u << (kSymbolsPerSlot - p.ul_symbols)) - 1u;
+    m.ul = static_cast<std::uint16_t>(kSlotSymbolMask & ~below_ul & ~m.dl);
+  }
+  return m;
+}
+
 }  // namespace
 
 std::span<const Nanos> standard_tdd_periods() { return kStandardPeriods; }
@@ -61,38 +82,12 @@ TddCommonConfig::TddCommonConfig(Numerology num, TddPattern p1, std::optional<Td
   name_ += letter(p1_);
   if (p2_) name_ += "+" + letter(*p2_);
   name_ += ")";
-  dir_table_.resize(static_cast<std::size_t>(total_slots_) * kSymbolsPerSlot);
+  masks_.reserve(static_cast<std::size_t>(total_slots_));
+  const int p2_slots = total_slots_ - p1_slots_;
   for (int s = 0; s < total_slots_; ++s) {
-    for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
-      const Dir d = s < p1_slots_ ? dir_in_pattern(p1_, s, sym)
-                                  : dir_in_pattern(*p2_, s - p1_slots_, sym);
-      dir_table_[static_cast<std::size_t>(s) * kSymbolsPerSlot + static_cast<std::size_t>(sym)] = d;
-    }
+    masks_.push_back(s < p1_slots_ ? masks_in_pattern(p1_, p1_slots_, s)
+                                   : masks_in_pattern(*p2_, p2_slots, s - p1_slots_));
   }
-}
-
-TddCommonConfig::Dir TddCommonConfig::dir_in_pattern(const TddPattern& p, int slot_in_pattern,
-                                                     int sym) const {
-  const int slots = p.slots(numerology());
-  const bool has_mixed = p.dl_symbols > 0 || p.ul_symbols > 0;
-  if (slot_in_pattern < p.dl_slots) return Dir::D;
-  if (slot_in_pattern >= slots - p.ul_slots) return Dir::U;
-  // The slot right after the DL slots carries the partial DL symbols; the
-  // slot right before the UL slots carries the partial UL symbols. For the
-  // common single-mixed-slot case these coincide.
-  const bool carries_dl_syms = has_mixed && slot_in_pattern == p.dl_slots;
-  const bool carries_ul_syms = has_mixed && slot_in_pattern == slots - p.ul_slots - 1;
-  if (carries_dl_syms && sym < p.dl_symbols) return Dir::D;
-  if (carries_ul_syms && sym >= kSymbolsPerSlot - p.ul_symbols) return Dir::U;
-  return Dir::Guard;
-}
-
-bool TddCommonConfig::dl_capable(SlotIndex slot, int sym) const {
-  return dir(slot, sym) == Dir::D;
-}
-
-bool TddCommonConfig::ul_capable(SlotIndex slot, int sym) const {
-  return dir(slot, sym) == Dir::U;
 }
 
 int TddCommonConfig::guard_symbols() const {

@@ -47,8 +47,12 @@ class TddCommonConfig final : public DuplexConfig {
  public:
   TddCommonConfig(Numerology num, TddPattern p1, std::optional<TddPattern> p2 = std::nullopt);
 
-  [[nodiscard]] bool dl_capable(SlotIndex slot, int sym) const override;
-  [[nodiscard]] bool ul_capable(SlotIndex slot, int sym) const override;
+  [[nodiscard]] std::uint16_t dl_mask(SlotIndex slot) const override {
+    return masks_[slot_in_period(slot, total_slots_)].dl;
+  }
+  [[nodiscard]] std::uint16_t ul_mask(SlotIndex slot) const override {
+    return masks_[slot_in_period(slot, total_slots_)].ul;
+  }
   [[nodiscard]] int period_slots() const override { return total_slots_; }
   [[nodiscard]] std::string name() const override { return name_; }
 
@@ -73,28 +77,15 @@ class TddCommonConfig final : public DuplexConfig {
   static TddCommonConfig dddu(Numerology num = kMu1);
 
  private:
-  /// Per-symbol direction of one pattern-local slot.
-  enum class Dir : std::uint8_t { D, U, Guard };
-  [[nodiscard]] Dir dir_in_pattern(const TddPattern& p, int slot_in_pattern, int sym) const;
-
-  /// Table lookup over the period; the opportunity searches call this for
-  /// every candidate symbol (millions of times per scale-out run), so the
-  /// pattern arithmetic runs once per (period slot, symbol) at construction
-  /// and never again.
-  [[nodiscard]] Dir dir(SlotIndex slot, int sym) const {
-    std::int64_t in_period = slot % total_slots_;
-    if (in_period < 0) in_period += total_slots_;
-    return dir_table_[static_cast<std::size_t>(in_period) * kSymbolsPerSlot +
-                      static_cast<std::size_t>(sym)];
-  }
-
   static void validate(const TddPattern& p, Numerology num);
 
   TddPattern p1_;
   std::optional<TddPattern> p2_;
   int p1_slots_ = 0;
   int total_slots_ = 0;
-  std::vector<Dir> dir_table_;  ///< period_slots x 14, filled at construction
+  /// Direction masks of each period slot; the pattern arithmetic runs once
+  /// per slot at construction and never again.
+  std::vector<SlotMasks> masks_;
   std::string name_;
 };
 

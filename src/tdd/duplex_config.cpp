@@ -6,27 +6,15 @@ std::string DuplexConfig::render_period() const {
   std::string out;
   for (int s = 0; s < period_slots(); ++s) {
     if (s != 0) out += '|';
+    const std::uint16_t dl = dl_mask(s);
+    const std::uint16_t ul = ul_mask(s);
     for (int k = 0; k < kSymbolsPerSlot; ++k) {
-      const bool d = dl_capable(s, k);
-      const bool u = ul_capable(s, k);
+      const bool d = (dl >> k) & 1u;
+      const bool u = (ul >> k) & 1u;
       out += d && u ? 'X' : d ? 'D' : u ? 'U' : '-';
     }
   }
   return out;
-}
-
-bool DuplexConfig::slot_has_dl(SlotIndex slot) const {
-  for (int k = 0; k < kSymbolsPerSlot; ++k) {
-    if (dl_capable(slot, k)) return true;
-  }
-  return false;
-}
-
-bool DuplexConfig::slot_has_ul(SlotIndex slot) const {
-  for (int k = 0; k < kSymbolsPerSlot; ++k) {
-    if (ul_capable(slot, k)) return true;
-  }
-  return false;
 }
 
 void DuplexConfig::append_value_words(CanonicalWords& words) const {
@@ -39,8 +27,10 @@ void DuplexConfig::append_value_words(CanonicalWords& words) const {
   std::uint64_t w = 0;
   int bits = 0;
   for (int s = 0; s < period_slots(); ++s) {
+    const std::uint16_t dl = dl_mask(s);
+    const std::uint16_t ul = ul_mask(s);
     for (int k = 0; k < kSymbolsPerSlot; ++k) {
-      const std::uint64_t sym = (dl_capable(s, k) ? 1u : 0u) | (ul_capable(s, k) ? 2u : 0u);
+      const std::uint64_t sym = ((dl >> k) & 1u) | (((ul >> k) & 1u) << 1);
       w |= sym << bits;
       bits += 2;
       if (bits == 64) {

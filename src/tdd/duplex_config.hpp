@@ -2,12 +2,13 @@
 // Duplex configuration abstraction.
 //
 // Everything the paper's latency analysis needs to know about a 5G duplex
-// configuration reduces to two questions at symbol granularity — "can this
-// symbol carry downlink?" and "can this symbol carry uplink?" — plus the
-// granularity at which scheduling/control decisions are made. TDD Common
-// Configuration, Slot Format, Mini-Slot and FDD (§2, Fig 1) all implement
-// this interface; the worst-case engine (src/core) and the MAC scheduler
-// are written against it.
+// configuration reduces to one question per slot — "which of its 14 symbols
+// can carry downlink, and which can carry uplink?" — answered as two 14-bit
+// direction masks, plus the granularity at which scheduling/control
+// decisions are made. TDD Common Configuration, Slot Format, Mini-Slot and
+// FDD (§2, Fig 1) all implement this interface; the worst-case engine
+// (src/core) and the MAC scheduler are written against it, and the
+// opportunity scans (tdd/opportunity.hpp) read it one slot word at a time.
 
 #include <cstddef>
 #include <cstdint>
@@ -21,6 +22,23 @@
 
 namespace u5g {
 
+/// The 14 symbol bits of a slot direction mask (bit k = symbol k).
+inline constexpr std::uint16_t kSlotSymbolMask =
+    static_cast<std::uint16_t>((1u << kSymbolsPerSlot) - 1u);
+
+/// Both direction masks of one slot.
+struct SlotMasks {
+  std::uint16_t dl = 0;
+  std::uint16_t ul = 0;
+};
+
+/// Position of `slot` within a period of `period` slots (also for slot < 0).
+[[nodiscard]] inline std::size_t slot_in_period(SlotIndex slot, int period) {
+  std::int64_t i = slot % period;
+  if (i < 0) i += period;
+  return static_cast<std::size_t>(i);
+}
+
 class DuplexConfig {
  public:
   virtual ~DuplexConfig() = default;
@@ -28,11 +46,21 @@ class DuplexConfig {
   [[nodiscard]] Numerology numerology() const { return num_; }
   [[nodiscard]] SlotClock clock() const { return SlotClock{num_}; }
 
-  /// Can symbol `sym` of slot `slot` carry downlink transmissions?
-  /// (FDD: every symbol; TDD: per the pattern; guard symbols: neither.)
-  [[nodiscard]] virtual bool dl_capable(SlotIndex slot, int sym) const = 0;
-  /// Can symbol `sym` of slot `slot` carry uplink transmissions?
-  [[nodiscard]] virtual bool ul_capable(SlotIndex slot, int sym) const = 0;
+  /// Downlink mask of slot `slot`: bit k is set when symbol k can carry
+  /// downlink (FDD: every symbol; TDD: per the pattern; guard symbols:
+  /// neither). Bits 14 and up are always zero.
+  [[nodiscard]] virtual std::uint16_t dl_mask(SlotIndex slot) const = 0;
+  /// Uplink mask of slot `slot`, with the same 14-bit contract.
+  [[nodiscard]] virtual std::uint16_t ul_mask(SlotIndex slot) const = 0;
+
+  /// Can symbol `sym` (0..13) of slot `slot` carry downlink transmissions?
+  [[nodiscard]] bool dl_capable(SlotIndex slot, int sym) const {
+    return (dl_mask(slot) >> sym) & 1u;
+  }
+  /// Can symbol `sym` (0..13) of slot `slot` carry uplink transmissions?
+  [[nodiscard]] bool ul_capable(SlotIndex slot, int sym) const {
+    return (ul_mask(slot) >> sym) & 1u;
+  }
 
   /// Period after which the direction map repeats, in slots (>= 1).
   [[nodiscard]] virtual int period_slots() const = 0;
@@ -40,10 +68,11 @@ class DuplexConfig {
   /// Scheduling / control granularity in symbols: control information goes
   /// out once per granule (§2: "the scheduling task is done just once per
   /// slot"), so data that misses a granule boundary waits for the next.
-  /// 14 for slot-based configurations, smaller for Mini-Slot.
+  /// 14 for slot-based configurations, smaller for Mini-Slot; always >= 1.
   [[nodiscard]] virtual int control_granularity_symbols() const { return kSymbolsPerSlot; }
 
-  /// Symbols of DL control (PDCCH) at the start of each DL-capable granule.
+  /// Symbols of DL control (PDCCH) at the start of each DL-capable granule
+  /// (>= 0).
   [[nodiscard]] virtual int control_symbols() const { return 1; }
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -55,8 +84,8 @@ class DuplexConfig {
 
   // -- Derived helpers ------------------------------------------------------
 
-  [[nodiscard]] bool slot_has_dl(SlotIndex slot) const;
-  [[nodiscard]] bool slot_has_ul(SlotIndex slot) const;
+  [[nodiscard]] bool slot_has_dl(SlotIndex slot) const { return dl_mask(slot) != 0; }
+  [[nodiscard]] bool slot_has_ul(SlotIndex slot) const { return ul_mask(slot) != 0; }
   /// Period of the direction map as a duration.
   [[nodiscard]] Nanos period() const {
     return num_.slot_duration() * period_slots();
@@ -65,7 +94,7 @@ class DuplexConfig {
   // -- Value identity --------------------------------------------------------
   // Everything the latency analysis can observe about a duplex configuration
   // is its numerology, scheduling granularity, control overhead, and the
-  // per-symbol direction map over one period. Two configs with identical
+  // per-slot direction masks over one period. Two configs with identical
   // observables are interchangeable for every worst-case and simulation
   // result, whatever their concrete type or heap address — the canonical
   // identity the feasibility-query cache keys on. (`name()` is

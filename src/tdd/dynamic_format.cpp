@@ -1,6 +1,7 @@
 #include "tdd/dynamic_format.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace u5g {
 
@@ -65,22 +66,6 @@ DynamicFormatPolicy::DynamicFormatPolicy(const DuplexConfig& base, const Dynamic
   cfg_.ul_guard_slots = std::max(cfg_.ul_guard_slots, 1);
 }
 
-std::uint16_t DynamicFormatPolicy::base_dl_mask(SlotIndex slot) const {
-  std::uint16_t m = 0;
-  for (int i = 0; i < kSymbolsPerSlot; ++i) {
-    if (base_.dl_capable(slot, i)) m |= static_cast<std::uint16_t>(1u << i);
-  }
-  return m;
-}
-
-std::uint16_t DynamicFormatPolicy::base_ul_mask(SlotIndex slot) const {
-  std::uint16_t m = 0;
-  for (int i = 0; i < kSymbolsPerSlot; ++i) {
-    if (base_.ul_capable(slot, i)) m |= static_cast<std::uint16_t>(1u << i);
-  }
-  return m;
-}
-
 DecidedFormat DynamicFormatPolicy::decide(SlotIndex k, const TddQueueState& q) {
   const SlotIndex target = k + cfg_.guard_slots;
   if (ul_demand(q)) ul_hold_until_ = std::max(ul_hold_until_, target + cfg_.hold_slots);
@@ -88,7 +73,7 @@ DecidedFormat DynamicFormatPolicy::decide(SlotIndex k, const TddQueueState& q) {
 
   DecidedFormat f;
   if (target < ul_hold_until_) {
-    f.added_ul = static_cast<std::uint16_t>(DecidedFormat::kAllSymbols & ~base_ul_mask(target));
+    f.added_ul = static_cast<std::uint16_t>(DecidedFormat::kAllSymbols & ~base_.ul_mask(target));
   }
   if (target < dl_hold_until_) {
     // The starvation guard: after ul_guard_slots consecutive DL-upgraded
@@ -96,7 +81,7 @@ DecidedFormat DynamicFormatPolicy::decide(SlotIndex k, const TddQueueState& q) {
     if (dl_run_ >= cfg_.ul_guard_slots) {
       dl_run_ = 0;
     } else {
-      f.added_dl = static_cast<std::uint16_t>(DecidedFormat::kAllSymbols & ~base_dl_mask(target));
+      f.added_dl = static_cast<std::uint16_t>(DecidedFormat::kAllSymbols & ~base_.dl_mask(target));
       ++dl_run_;
     }
   } else {
@@ -110,6 +95,8 @@ DynamicDuplexConfig::DynamicDuplexConfig(std::shared_ptr<const DuplexConfig> bas
     : DuplexConfig(base->numerology()), base_(std::move(base)) {}
 
 void DynamicDuplexConfig::commit(SlotIndex slot, DecidedFormat f) {
+  if (((f.added_dl | f.added_ul) & ~DecidedFormat::kAllSymbols) != 0)
+    throw std::invalid_argument{"DynamicDuplexConfig: added mask sets a bit past symbol 13"};
   if (overlay_.empty()) first_ = slot;
   if (slot < committed_through()) return;  // already committed (idempotent)
   while (committed_through() < slot) overlay_.push_back(0);
@@ -124,16 +111,6 @@ DecidedFormat DynamicDuplexConfig::committed(SlotIndex slot) const {
   f.added_dl = static_cast<std::uint16_t>(w & 0xffffu);
   f.added_ul = static_cast<std::uint16_t>(w >> 16);
   return f;
-}
-
-bool DynamicDuplexConfig::dl_capable(SlotIndex slot, int sym) const {
-  if (base_->dl_capable(slot, sym)) return true;
-  return (committed(slot).added_dl >> sym) & 1u;
-}
-
-bool DynamicDuplexConfig::ul_capable(SlotIndex slot, int sym) const {
-  if (base_->ul_capable(slot, sym)) return true;
-  return (committed(slot).added_ul >> sym) & 1u;
 }
 
 }  // namespace u5g

@@ -71,8 +71,7 @@ struct TddQueueState {
 /// symbol s gains that direction on top of the static pattern). Lossless
 /// text round trip via render()/parse() for logging and fuzzing.
 struct DecidedFormat {
-  static constexpr std::uint16_t kAllSymbols =
-      static_cast<std::uint16_t>((1u << kSymbolsPerSlot) - 1u);
+  static constexpr std::uint16_t kAllSymbols = kSlotSymbolMask;
 
   std::uint16_t added_dl = 0;
   std::uint16_t added_ul = 0;
@@ -112,10 +111,6 @@ class DynamicFormatPolicy {
     return q.dl_queued_sdus > 1 || q.dl_inflight_tbs > 1;
   }
 
-  /// Static direction masks of the base pattern for `slot` (bit s = sym s).
-  [[nodiscard]] std::uint16_t base_dl_mask(SlotIndex slot) const;
-  [[nodiscard]] std::uint16_t base_ul_mask(SlotIndex slot) const;
-
   /// Slots committed with at least one added symbol so far.
   [[nodiscard]] std::uint64_t upgraded_slots() const { return upgraded_; }
   [[nodiscard]] const DynamicTddConfig& config() const { return cfg_; }
@@ -131,8 +126,8 @@ class DynamicFormatPolicy {
 
 /// A DuplexConfig that overlays committed per-slot upgrades on a static
 /// base. Uncommitted slots (past the horizon, or before t=0) fall back to
-/// the base — conservative, and monotone by construction: dl_capable /
-/// ul_capable are true whenever the base says so.
+/// the base — conservative, and monotone by construction: each slot's mask
+/// is the base mask ORed with the committed overlay.
 ///
 /// The overlay is aperiodic, so period_slots() reports the base skeleton's
 /// period: callers that sweep "one period" sweep the static structure, which
@@ -143,8 +138,12 @@ class DynamicDuplexConfig final : public DuplexConfig {
  public:
   explicit DynamicDuplexConfig(std::shared_ptr<const DuplexConfig> base);
 
-  [[nodiscard]] bool dl_capable(SlotIndex slot, int sym) const override;
-  [[nodiscard]] bool ul_capable(SlotIndex slot, int sym) const override;
+  [[nodiscard]] std::uint16_t dl_mask(SlotIndex slot) const override {
+    return base_->dl_mask(slot) | committed(slot).added_dl;
+  }
+  [[nodiscard]] std::uint16_t ul_mask(SlotIndex slot) const override {
+    return base_->ul_mask(slot) | committed(slot).added_ul;
+  }
   [[nodiscard]] int period_slots() const override { return base_->period_slots(); }
   [[nodiscard]] int control_granularity_symbols() const override {
     return base_->control_granularity_symbols();
@@ -153,7 +152,8 @@ class DynamicDuplexConfig final : public DuplexConfig {
   [[nodiscard]] std::string name() const override { return base_->name() + " + dynamic"; }
 
   /// Commit slot `slot`'s decision. Slots commit in increasing order; gaps
-  /// are filled with empty overlays.
+  /// are filled with empty overlays. Throws std::invalid_argument when an
+  /// added mask sets a bit outside the 14 symbols (kAllSymbols).
   void commit(SlotIndex slot, DecidedFormat f);
   /// First slot index not yet committed.
   [[nodiscard]] SlotIndex committed_through() const {

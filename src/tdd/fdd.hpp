@@ -16,8 +16,8 @@ class FddConfig final : public DuplexConfig {
  public:
   explicit FddConfig(Numerology num) : DuplexConfig(num) {}
 
-  [[nodiscard]] bool dl_capable(SlotIndex, int) const override { return true; }
-  [[nodiscard]] bool ul_capable(SlotIndex, int) const override { return true; }
+  [[nodiscard]] std::uint16_t dl_mask(SlotIndex) const override { return kSlotSymbolMask; }
+  [[nodiscard]] std::uint16_t ul_mask(SlotIndex) const override { return kSlotSymbolMask; }
   [[nodiscard]] int period_slots() const override { return 1; }
   [[nodiscard]] std::string name() const override { return "FDD"; }
 

@@ -25,8 +25,8 @@ class MiniSlotConfig final : public DuplexConfig {
       throw std::invalid_argument{"MiniSlotConfig: mini-slot length must be 2, 4 or 7 symbols"};
   }
 
-  [[nodiscard]] bool dl_capable(SlotIndex, int) const override { return true; }
-  [[nodiscard]] bool ul_capable(SlotIndex, int) const override { return true; }
+  [[nodiscard]] std::uint16_t dl_mask(SlotIndex) const override { return kSlotSymbolMask; }
+  [[nodiscard]] std::uint16_t ul_mask(SlotIndex) const override { return kSlotSymbolMask; }
   [[nodiscard]] int period_slots() const override { return 1; }
   [[nodiscard]] int control_granularity_symbols() const override { return len_; }
   [[nodiscard]] int control_symbols() const override { return 1; }

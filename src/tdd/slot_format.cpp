@@ -1,7 +1,5 @@
 #include "tdd/slot_format.hpp"
 
-#include <algorithm>
-
 namespace u5g {
 
 namespace {
@@ -69,12 +67,12 @@ constexpr std::array<SlotFormat, 46> kFormats{{
 
 }  // namespace
 
-bool SlotFormat::has_dl() const {
-  return std::ranges::any_of(symbols, [](SymbolKind k) { return k == SymbolKind::Downlink; });
-}
-
-bool SlotFormat::has_ul() const {
-  return std::ranges::any_of(symbols, [](SymbolKind k) { return k == SymbolKind::Uplink; });
+std::uint16_t SlotFormat::mask(SymbolKind k) const {
+  std::uint16_t m = 0;
+  for (int i = 0; i < kSymbolsPerSlot; ++i) {
+    if (symbols[static_cast<std::size_t>(i)] == k) m |= static_cast<std::uint16_t>(1u << i);
+  }
+  return m;
 }
 
 std::string SlotFormat::render() const {
@@ -96,21 +94,16 @@ SlotFormatConfig::SlotFormatConfig(Numerology num, std::vector<int> format_indic
     : DuplexConfig(num), indices_(std::move(format_indices)) {
   if (indices_.empty()) throw std::invalid_argument{"SlotFormatConfig: empty format sequence"};
   formats_.reserve(indices_.size());
-  for (int idx : indices_) formats_.push_back(&slot_format(idx));
+  masks_.reserve(indices_.size());
+  for (int idx : indices_) {
+    const SlotFormat& f = slot_format(idx);
+    formats_.push_back(&f);
+    masks_.push_back({f.mask(SymbolKind::Downlink), f.mask(SymbolKind::Uplink)});
+  }
 }
 
 const SlotFormat& SlotFormatConfig::format_of_slot(SlotIndex slot) const {
-  std::int64_t i = slot % static_cast<std::int64_t>(formats_.size());
-  if (i < 0) i += static_cast<std::int64_t>(formats_.size());
-  return *formats_[static_cast<std::size_t>(i)];
-}
-
-bool SlotFormatConfig::dl_capable(SlotIndex slot, int sym) const {
-  return format_of_slot(slot).symbols[static_cast<std::size_t>(sym)] == SymbolKind::Downlink;
-}
-
-bool SlotFormatConfig::ul_capable(SlotIndex slot, int sym) const {
-  return format_of_slot(slot).symbols[static_cast<std::size_t>(sym)] == SymbolKind::Uplink;
+  return *formats_[slot_in_period(slot, period_slots())];
 }
 
 std::string SlotFormatConfig::name() const {

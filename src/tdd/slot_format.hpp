@@ -24,8 +24,10 @@ struct SlotFormat {
   int index = 0;
   std::array<SymbolKind, kSymbolsPerSlot> symbols{};
 
-  [[nodiscard]] bool has_dl() const;
-  [[nodiscard]] bool has_ul() const;
+  /// Mask of the symbols of kind `k` (bit s = symbol s).
+  [[nodiscard]] std::uint16_t mask(SymbolKind k) const;
+  [[nodiscard]] bool has_dl() const { return mask(SymbolKind::Downlink) != 0; }
+  [[nodiscard]] bool has_ul() const { return mask(SymbolKind::Uplink) != 0; }
   /// Render as a 14-char string over {D,U,F}.
   [[nodiscard]] std::string render() const;
 };
@@ -46,8 +48,12 @@ class SlotFormatConfig final : public DuplexConfig {
  public:
   SlotFormatConfig(Numerology num, std::vector<int> format_indices);
 
-  [[nodiscard]] bool dl_capable(SlotIndex slot, int sym) const override;
-  [[nodiscard]] bool ul_capable(SlotIndex slot, int sym) const override;
+  [[nodiscard]] std::uint16_t dl_mask(SlotIndex slot) const override {
+    return masks_[slot_in_period(slot, period_slots())].dl;
+  }
+  [[nodiscard]] std::uint16_t ul_mask(SlotIndex slot) const override {
+    return masks_[slot_in_period(slot, period_slots())].ul;
+  }
   [[nodiscard]] int period_slots() const override { return static_cast<int>(formats_.size()); }
   [[nodiscard]] std::string name() const override;
 
@@ -56,6 +62,7 @@ class SlotFormatConfig final : public DuplexConfig {
  private:
   std::vector<int> indices_;
   std::vector<const SlotFormat*> formats_;
+  std::vector<SlotMasks> masks_;  ///< one per format in the sequence
 };
 
 }  // namespace u5g

@@ -269,11 +269,9 @@ class UlEraDuplex final : public DuplexConfig {
  public:
   UlEraDuplex(TddCommonConfig inner, SlotIndex last_ul_slot)
       : DuplexConfig(inner.numerology()), inner_(std::move(inner)), last_(last_ul_slot) {}
-  [[nodiscard]] bool dl_capable(SlotIndex s, int sym) const override {
-    return inner_.dl_capable(s, sym);
-  }
-  [[nodiscard]] bool ul_capable(SlotIndex s, int sym) const override {
-    return s <= last_ && inner_.ul_capable(s, sym);
+  [[nodiscard]] std::uint16_t dl_mask(SlotIndex s) const override { return inner_.dl_mask(s); }
+  [[nodiscard]] std::uint16_t ul_mask(SlotIndex s) const override {
+    return s <= last_ ? inner_.ul_mask(s) : std::uint16_t{0};
   }
   [[nodiscard]] int period_slots() const override { return inner_.period_slots(); }
   [[nodiscard]] std::string name() const override { return "ul-era"; }

@@ -582,8 +582,8 @@ TEST(FuzzDynamicTdd, RandomQueueSequencesKeepPolicyInvariants) {
       EXPECT_EQ(fa, *parsed);
 
       const SlotIndex target = k + cfg.guard_slots;
-      const std::uint16_t bdl = a.base_dl_mask(target);
-      const std::uint16_t bul = a.base_ul_mask(target);
+      const std::uint16_t bdl = base.dl_mask(target);
+      const std::uint16_t bul = base.ul_mask(target);
       const SlotFormat sf = fa.to_slot_format(bdl, bul);
       overlay.commit(target, fa);
       for (int s = 0; s < kSymbolsPerSlot; ++s) {

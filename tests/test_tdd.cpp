@@ -1,9 +1,16 @@
 // Unit tests for src/tdd: Common Configuration validation and direction
-// maps, Slot Format table, Mini-Slot, FDD, and the render helpers.
+// maps, Slot Format table, Mini-Slot, FDD, the render helpers, the 14-bit
+// slot-mask contract and the pinned value identity.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "tdd/common_config.hpp"
+#include "tdd/dynamic_format.hpp"
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
 #include "tdd/slot_format.hpp"
@@ -230,6 +237,126 @@ TEST(FddTest, FullDuplexEverywhere) {
 TEST(FddTest, BandRestriction) {
   EXPECT_TRUE(FddConfig::allowed_in_band(*find_band("n1")));
   EXPECT_FALSE(FddConfig::allowed_in_band(band_n78()));
+}
+
+// ---------------------------------------------------------------------------
+// Slot-mask contract
+
+/// Every concrete config kind, including one with a committed overlay.
+std::vector<std::shared_ptr<const DuplexConfig>> every_config_kind() {
+  std::vector<std::shared_ptr<const DuplexConfig>> cfgs;
+  cfgs.push_back(std::make_shared<TddCommonConfig>(TddCommonConfig::du(kMu2)));
+  cfgs.push_back(std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2)));
+  cfgs.push_back(std::make_shared<TddCommonConfig>(TddCommonConfig::mu(kMu2)));
+  cfgs.push_back(std::make_shared<TddCommonConfig>(TddCommonConfig::dddu(kMu1)));
+  cfgs.push_back(std::make_shared<TddCommonConfig>(kMu2, TddPattern{2_ms, 2, 4, 4, 1}));
+  cfgs.push_back(std::make_shared<TddCommonConfig>(kMu1, TddPattern{2_ms, 2, 6, 4, 1},
+                                                   TddPattern{1_ms, 1, 0, 0, 1}));
+  std::vector<int> all_formats;
+  for (const SlotFormat& f : slot_format_table()) all_formats.push_back(f.index);
+  cfgs.push_back(std::make_shared<SlotFormatConfig>(kMu1, all_formats));
+  for (int len : {2, 4, 7}) cfgs.push_back(std::make_shared<MiniSlotConfig>(kMu1, len));
+  cfgs.push_back(std::make_shared<FddConfig>(kMu0));
+  auto dyn = std::make_shared<DynamicDuplexConfig>(
+      std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2)));
+  for (SlotIndex k = 3; k < 12; ++k) {
+    dyn->commit(k, DecidedFormat{static_cast<std::uint16_t>(0x0003u << (k % 5)),
+                                 static_cast<std::uint16_t>(0x3000u >> (k % 7))});
+  }
+  cfgs.push_back(std::move(dyn));
+  return cfgs;
+}
+
+TEST(SlotMaskContractTest, MasksFitFourteenBitsAndAgreeWithSymbolQueries) {
+  for (const auto& cfg : every_config_kind()) {
+    for (SlotIndex slot = -60; slot < 60; ++slot) {
+      const std::uint16_t dl = cfg->dl_mask(slot);
+      const std::uint16_t ul = cfg->ul_mask(slot);
+      EXPECT_EQ(dl & ~kSlotSymbolMask, 0) << cfg->name() << " slot " << slot;
+      EXPECT_EQ(ul & ~kSlotSymbolMask, 0) << cfg->name() << " slot " << slot;
+      EXPECT_EQ(cfg->slot_has_dl(slot), dl != 0);
+      EXPECT_EQ(cfg->slot_has_ul(slot), ul != 0);
+      for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+        EXPECT_EQ(cfg->dl_capable(slot, sym), ((dl >> sym) & 1u) != 0) << cfg->name();
+        EXPECT_EQ(cfg->ul_capable(slot, sym), ((ul >> sym) & 1u) != 0) << cfg->name();
+      }
+    }
+  }
+}
+
+TEST(SlotMaskContractTest, SlotFormatMasksFollowTheFormatTable) {
+  std::vector<int> all_formats;
+  for (const SlotFormat& f : slot_format_table()) all_formats.push_back(f.index);
+  const SlotFormatConfig c{kMu1, all_formats};
+  for (SlotIndex slot = 0; slot < c.period_slots(); ++slot) {
+    const SlotFormat& f = c.format_of_slot(slot);
+    for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+      const SymbolKind k = f.symbols[static_cast<std::size_t>(sym)];
+      EXPECT_EQ(c.dl_capable(slot, sym), k == SymbolKind::Downlink) << f.render();
+      EXPECT_EQ(c.ul_capable(slot, sym), k == SymbolKind::Uplink) << f.render();
+    }
+  }
+}
+
+TEST(SlotMaskContractTest, DynamicCommitRejectsBitsPastSymbolThirteen) {
+  DynamicDuplexConfig dyn(std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2)));
+  EXPECT_THROW(dyn.commit(0, DecidedFormat{0x4000, 0}), std::invalid_argument);
+  EXPECT_THROW(dyn.commit(0, DecidedFormat{0, 0x8000}), std::invalid_argument);
+  EXPECT_EQ(dyn.committed_through(), 0);  // a rejected commit leaves no trace
+  EXPECT_NO_THROW(dyn.commit(0, DecidedFormat{DecidedFormat::kAllSymbols, 0}));
+  EXPECT_EQ(dyn.dl_mask(0), kSlotSymbolMask);
+}
+
+// ---------------------------------------------------------------------------
+// Value-identity pins: the feasibility cache keys on these words, so the
+// direction-map representation may change but these may not.
+
+struct IdentityPin {
+  std::shared_ptr<const DuplexConfig> cfg;
+  const char* render;
+  std::vector<std::uint64_t> words;
+};
+
+TEST(ValueIdentityPinTest, RenderAndWordsAreStable) {
+  const std::vector<IdentityPin> pins{
+      {std::make_shared<TddCommonConfig>(TddCommonConfig::du(kMu2)),
+       "DDDDDDDDDDDDDD|UUUUUUUUUUUUUU",
+       {0x2, 0x2, 0xe, 0x1, 0xaaaaaaa5555555}},
+      {std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2)),
+       "DDDDDDDDDDDDDD|DDDD--UUUUUUUU",
+       {0x2, 0x2, 0xe, 0x1, 0xaaaa0555555555}},
+      {std::make_shared<TddCommonConfig>(TddCommonConfig::mu(kMu2)),
+       "DDDD--UUUUUUUU|UUUUUUUUUUUUUU",
+       {0x2, 0x2, 0xe, 0x1, 0xaaaaaaaaaaa055}},
+      {std::make_shared<MiniSlotConfig>(kMu2, 2), "XXXXXXXXXXXXXX",
+       {0x2, 0x1, 0x2, 0x1, 0xfffffff}},
+      {std::make_shared<FddConfig>(kMu2), "XXXXXXXXXXXXXX", {0x2, 0x1, 0xe, 0x1, 0xfffffff}},
+      {std::make_shared<TddCommonConfig>(TddCommonConfig::dddu(kMu1)),
+       "DDDDDDDDDDDDDD|DDDDDDDDDDDDDD|DDDDDDDDDDDDDD|UUUUUUUUUUUUUU",
+       {0x1, 0x4, 0xe, 0x1, 0x5555555555555555, 0xaaaaaaa55555}},
+      {std::make_shared<TddCommonConfig>(kMu1, TddPattern{2_ms, 2, 6, 4, 1},
+                                         TddPattern{1_ms, 1, 0, 0, 1}),
+       "DDDDDDDDDDDDDD|DDDDDDDDDDDDDD|DDDDDD----UUUU|UUUUUUUUUUUUUU|DDDDDDDDDDDDDD|"
+       "UUUUUUUUUUUUUU",
+       {0x1, 0x6, 0xe, 0x1, 0x5555555555555555, 0x5555aaaaaaaaa005, 0xaaaaaaa555}},
+      {std::make_shared<TddCommonConfig>(kMu2, TddPattern{2_ms, 2, 4, 4, 1}),
+       "DDDDDDDDDDDDDD|DDDDDDDDDDDDDD|DDDD----------|--------------|--------------|"
+       "--------------|----------UUUU|UUUUUUUUUUUUUU",
+       {0x2, 0x8, 0xe, 0x1, 0x5555555555555555, 0x0, 0xa000000000000000, 0xaaaaaaaa}},
+      {std::make_shared<SlotFormatConfig>(kMu1, std::vector<int>{0, 0, 28, 1}),
+       "DDDDDDDDDDDDDD|DDDDDDDDDDDDDD|DDDDDDDDDDDD-U|UUUUUUUUUUUUUU",
+       {0x1, 0x4, 0xe, 0x1, 0x5555555555555555, 0xaaaaaaa85555}},
+      {std::make_shared<SlotFormatConfig>(kMu2, std::vector<int>{45, 34, 2, 16}),
+       "DDDDDD--UUUUUU|D-UUUUUUUUUUUU|--------------|D-------------",
+       {0x2, 0x4, 0xe, 0x1, 0xaaaaaa1aaa0555, 0x100000}},
+  };
+  for (const IdentityPin& pin : pins) {
+    EXPECT_EQ(pin.cfg->render_period(), pin.render) << pin.cfg->name();
+    CanonicalWords words;
+    pin.cfg->append_value_words(words);
+    EXPECT_EQ(words.words(), pin.words) << pin.cfg->name();
+    EXPECT_EQ(pin.cfg->value_word_count(), pin.words.size()) << pin.cfg->name();
+  }
 }
 
 }  // namespace
