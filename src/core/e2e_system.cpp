@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -175,31 +176,31 @@ struct E2eSystem::Impl {
   std::optional<LbtGate> lbt;
 
   // In-flight accounting for the scale-out load signal (sim/sharded.hpp).
-  std::uint64_t packets_started = 0;
+  std::array<std::uint64_t, 2> packets_started{};  ///< indexed by Direction
   std::uint64_t packets_delivered = 0;
+  std::uint64_t harq_retx = 0;  ///< retransmissions behind delivered packets
 
   // -- Observability --------------------------------------------------------
   // The tracer records spans iff enabled; every hook starts with one
-  // predicted branch. Metric handles are resolved once here and stay null
-  // when metrics are off, so the disabled path is a null-pointer check.
+  // predicted branch. Each tally above has exactly one source of truth:
+  // publish_counters() copies them into the named counters at the end of
+  // every run_until(). Only the histograms record live; their handles are
+  // resolved once here and stay null when metrics are off.
   Tracer tracer;
   MetricsRegistry metrics;
-  struct MetricHandles {
-    Counter* ul_sent = nullptr;
-    Counter* dl_sent = nullptr;
-    Counter* delivered = nullptr;
-    Counter* harq_retx = nullptr;
-    Counter* harq_drop = nullptr;
-    Counter* stranded = nullptr;
-    Counter* radio_miss = nullptr;
-    Counter* missed_grant = nullptr;
-    Counter* f_burst = nullptr;
-    Counter* f_storm = nullptr;
-    Counter* f_stall = nullptr;
-    Counter* f_upf_drop = nullptr;
-    Counter* f_upf_delay = nullptr;
-    Counter* punctured = nullptr;
-    Counter* xlink_loss = nullptr;
+  /// Published counter names, in tallies() order. The last two exist only
+  /// when the dynamic-TDD policy is enabled.
+  static constexpr std::array<const char*, 15> kCounterNames = {
+      "packets.ul_sent",        "packets.dl_sent",        "packets.delivered",
+      "packets.harq_retransmissions",                     "harq.dropped_tbs",
+      "harq.stranded_drops",    "radio.deadline_misses",  "mac.missed_grants",
+      "fault.burst_losses",     "fault.os_jitter_storms", "fault.radio_bus_stalls",
+      "fault.upf_drops",        "fault.upf_delays",       "harq.punctured_retx",
+      "xlink.ul_losses"};
+  /// Resolved once (registry nodes are stable), so publishing never
+  /// allocates; empty when metrics are off.
+  std::vector<std::reference_wrapper<Counter>> counters;
+  struct Histograms {
     LatencyHistogram* ul_latency = nullptr;
     LatencyHistogram* dl_latency = nullptr;
     LatencyHistogram* rlc_q = nullptr;
@@ -251,22 +252,9 @@ struct E2eSystem::Impl {
 
     tracer.enable(cfg.trace.spans_on());
     if (cfg.trace.metrics_on()) {
-      m.ul_sent = &metrics.counter("packets.ul_sent");
-      m.dl_sent = &metrics.counter("packets.dl_sent");
-      m.delivered = &metrics.counter("packets.delivered");
-      m.harq_retx = &metrics.counter("packets.harq_retransmissions");
-      m.harq_drop = &metrics.counter("harq.dropped_tbs");
-      m.stranded = &metrics.counter("harq.stranded_drops");
-      m.radio_miss = &metrics.counter("radio.deadline_misses");
-      m.missed_grant = &metrics.counter("mac.missed_grants");
-      m.f_burst = &metrics.counter("fault.burst_losses");
-      m.f_storm = &metrics.counter("fault.os_jitter_storms");
-      m.f_stall = &metrics.counter("fault.radio_bus_stalls");
-      m.f_upf_drop = &metrics.counter("fault.upf_drops");
-      m.f_upf_delay = &metrics.counter("fault.upf_delays");
-      if (cfg.dynamic_tdd.enabled) {
-        m.punctured = &metrics.counter("harq.punctured_retx");
-        m.xlink_loss = &metrics.counter("xlink.ul_losses");
+      const std::size_t published = kCounterNames.size() - (cfg.dynamic_tdd.enabled ? 0 : 2);
+      for (std::size_t i = 0; i < published; ++i) {
+        counters.emplace_back(metrics.counter(kCounterNames[i]));
       }
       m.ul_latency = &metrics.histogram("latency.ul_ns");
       m.dl_latency = &metrics.histogram("latency.dl_ns");
@@ -280,6 +268,22 @@ struct E2eSystem::Impl {
       policy.emplace(dyn->base(), cfg.dynamic_tdd);
       sim.schedule_at(Nanos::zero(), [this] { dynamic_tick(); });
     }
+    publish_counters();
+  }
+
+  /// Every published counter's one source, in kCounterNames order.
+  [[nodiscard]] std::array<std::uint64_t, kCounterNames.size()> tallies() const {
+    const FaultInjector::Counters& f = faults.counters();
+    return {packets_started[0], packets_started[1], packets_delivered, harq_retx,
+            harq_dropped,       stranded_drops,     owner.radio_deadline_misses_,
+            missed_grants,      f.burst_losses,     f.storm_spikes,
+            f.bus_stalls,       f.upf_drops,        f.upf_delays,
+            punctured_retx,     xlink_losses};
+  }
+
+  void publish_counters() {
+    const auto values = tallies();
+    for (std::size_t i = 0; i < counters.size(); ++i) counters[i].get().set(values[i]);
   }
 
   // -- Dynamic TDD ----------------------------------------------------------
@@ -328,29 +332,7 @@ struct E2eSystem::Impl {
     if (p <= 0.0) return false;
     if (!xlink_rng.bernoulli(std::min(p, 1.0))) return false;
     ++xlink_losses;
-    if (m.xlink_loss != nullptr) m.xlink_loss->inc();
     return true;
-  }
-
-  /// One CAT4 clearance for a data burst nominally occupying
-  /// [wanted, wanted + dur). The caller's trace cursor sits at `wanted`
-  /// (every data TX path advances it to the nominal air start first), so the
-  /// deferral span tiles exactly between the slot wait and the over-the-air
-  /// span — the fourth latency category. Only called when `lbt` is engaged.
-  LbtGate::Access lbt_clear(std::int32_t tseq, Nanos wanted, Nanos dur) {
-    const LbtGate::Access a = lbt->acquire(wanted, dur, sim.now());
-    if (a.deferral > Nanos::zero()) {
-      tracer.span_to(tseq, "LBT deferral (CAT4 backoff)", LatencyCategory::ChannelAccess,
-                     wanted + a.deferral);
-    }
-    return a;
-  }
-
-  /// One punctured TB re-entered HARQ (never called on terminal drops: the
-  /// counter tallies re-entries only, on the side of the loss identity).
-  void count_punctured_retx() {
-    ++punctured_retx;
-    if (m.punctured != nullptr) m.punctured->inc();
   }
 
   PacketRecord& rec(std::size_t idx) { return owner.records_[idx]; }
@@ -362,38 +344,77 @@ struct E2eSystem::Impl {
   std::optional<MmWaveBlockage> blockage;
 
   bool channel_lost() {
-    if (faults.models_channel_loss()) {
-      // A BurstLoss scenario replaces the i.i.d. knob: the Gilbert–Elliott
-      // chain (own stream) decides, and i.i.d. is its degenerate
-      // single-state case (GilbertElliott::Params::iid).
-      if (faults.channel_lost(sim.now())) {
-        if (m.f_burst != nullptr) m.f_burst->inc();
-        return true;
+    // A BurstLoss scenario replaces the i.i.d. knob: the Gilbert–Elliott
+    // chain (own stream) decides, and i.i.d. is its degenerate single-state
+    // case (GilbertElliott::Params::iid).
+    const bool lost = faults.models_channel_loss()
+                          ? faults.channel_lost(sim.now())
+                          : cfg.channel_loss > 0.0 && rng.bernoulli(cfg.channel_loss);
+    return lost || (blockage && !blockage->transmit_ok(sim.now()));
+  }
+
+  struct AirOutcome {
+    Nanos deferral{};  ///< CAT4 channel-access delay shifting the air window
+    bool lost = false;
+  };
+
+  /// The one air outcome of a data burst nominally occupying [start, end),
+  /// UL or DL, first transmission or retransmission. Four fixed gates in a
+  /// fixed draw order: NR-U channel access, the channel (burst / i.i.d. /
+  /// blockage), cross-link interference from neighbouring DL-upgraded slots
+  /// (UL only), and the hidden collision the energy detector could not see.
+  /// The caller's trace cursor sits at `start`, so the deferral span tiles
+  /// exactly between the slot wait and the over-the-air span.
+  AirOutcome air_attempt(std::int32_t tseq, Nanos start, Nanos end, bool uplink) {
+    LbtGate::Access access{};
+    if (lbt) {
+      access = lbt->acquire(start, end - start, sim.now());
+      if (access.deferral > Nanos::zero()) {
+        tracer.span_to(tseq, "LBT deferral (CAT4 backoff)", LatencyCategory::ChannelAccess,
+                       start + access.deferral);
       }
-    } else if (cfg.channel_loss > 0.0 && rng.bernoulli(cfg.channel_loss)) {
-      return true;
     }
-    if (blockage && !blockage->transmit_ok(sim.now())) return true;
-    return false;
+    const bool lost = channel_lost() || (uplink && crosslink_ul_lost()) || access.collided;
+    if (lbt) lbt->on_harq_feedback(lost);
+    return {access.deferral, lost};
   }
 
   // -- Fault-injection hooks -------------------------------------------------
   // All zero-cost when `cfg.faults` is empty: one `empty()` branch per hook.
+  // The injector tallies every event itself (FaultInjector::counters()).
 
-  /// Added radio-bus transfer latency at `now`. When `trace_span` (the RX
-  /// chain sites, where spans are duration-based) the stall is emitted as
-  /// its own Radio span; the TX `prepare_tx` sites fold it into `ready_at`
-  /// instead, where it erodes the §4 margin and can miss the slot.
-  Nanos fault_bus_stall(std::int32_t tseq, bool trace_span) {
+  /// Added radio-bus transfer latency at `now`.
+  Nanos fault_bus_stall() {
+    return faults.empty() ? Nanos::zero() : faults.bus_stall(sim.now());
+  }
+
+  /// A UPF outage at `now`, shared by the UL exit and the DL entry: nullopt
+  /// when it drops the packet (trace `tseq` is abandoned), else the extra
+  /// delay it adds (traced).
+  std::optional<Nanos> upf_outage(std::int32_t tseq) {
     if (faults.empty()) return Nanos::zero();
-    const Nanos stall = faults.bus_stall(sim.now());
-    if (stall > Nanos::zero()) {
-      if (m.f_stall != nullptr) m.f_stall->inc();
-      if (trace_span) {
-        tracer.span_for(tseq, "fault: radio-bus stall", LatencyCategory::Radio, stall);
-      }
+    if (faults.upf_dropped(sim.now())) {
+      tracer.abandon(tseq);
+      return std::nullopt;
     }
-    return stall;
+    const Nanos extra = faults.upf_extra_delay(sim.now());
+    if (extra > Nanos::zero()) {
+      tracer.span_for(tseq, "fault: UPF outage delay", LatencyCategory::Protocol, extra);
+    }
+    return extra;
+  }
+
+  /// Deliver `air` worth of samples through `radio`'s RX chain — plus any
+  /// bus stall, traced as its own Radio span — then run `next`.
+  template <typename Next>
+  void radio_rx(RadioHead& radio, const char* span, std::int32_t tseq, Nanos air, Next next) {
+    const Nanos rx = radio.rx_delivery_latency(samples_of(radio, air));
+    tracer.span_for(tseq, span, LatencyCategory::Radio, rx);
+    const Nanos stall = fault_bus_stall();
+    if (stall > Nanos::zero()) {
+      tracer.span_for(tseq, "fault: radio-bus stall", LatencyCategory::Radio, stall);
+    }
+    sim.schedule_after(rx + stall, std::move(next));
   }
 
   /// Wrap a traversal continuation so an active OS-jitter storm adds one
@@ -407,27 +428,16 @@ struct E2eSystem::Impl {
         done(end);
         return;
       }
-      if (m.f_storm != nullptr) m.f_storm->inc();
       tracer.span_for(tseq, "fault: OS-jitter storm", LatencyCategory::Processing, storm);
       sim.schedule_after(storm, [this, done = std::move(done)]() mutable { done(sim.now()); });
     };
   }
 
-  /// Account a TB whose HARQ transmission budget is exhausted. `tseq` is the
-  /// per-UE trace cursor for the affected direction; the traced packet is
-  /// abandoned (its spans stay, it never closes).
-  void drop_tb_harq(std::int32_t& tseq) {
-    ++harq_dropped;
-    if (m.harq_drop != nullptr) m.harq_drop->inc();
-    tracer.abandon(tseq);
-    tseq = -1;
-  }
-
-  /// Account a TB/SDU dropped because no opportunity appeared within the
-  /// stranded-retry cap.
-  void drop_stranded(std::int32_t& tseq) {
-    ++stranded_drops;
-    if (m.stranded != nullptr) m.stranded->inc();
+  /// Account a terminal loss in `bucket` (harq_dropped or stranded_drops).
+  /// `tseq` is the per-UE trace cursor for the affected direction; the
+  /// traced packet is abandoned (its spans stay, it never closes).
+  void drop(std::uint64_t& bucket, std::int32_t& tseq) {
+    ++bucket;
     tracer.abandon(tseq);
     tseq = -1;
   }
@@ -449,20 +459,32 @@ struct E2eSystem::Impl {
     }
   }
 
-  /// PDCP t-Reordering (TS 38.323 §5.2.2.2): when a PDU is held waiting for
-  /// a missing COUNT, a timer bounds the wait; on expiry the held run is
-  /// flushed past the gap. Without this, one HARQ-exhausted loss would stall
-  /// in-order delivery forever. `deliver` is copied into the timer event —
-  /// PdcpRx::Deliver itself is a non-owning FunctionRef — so the early-out
-  /// (the loss-free common case) pays nothing for the owning copy.
+  /// Hand one SDU to PDCP-rx. A refused PDU (stale behind a t-Reordering
+  /// flush, duplicate, or integrity-failed) is a terminal loss for its
+  /// packet: count it, or reliability silently inflates when recovery
+  /// outlasts the flush timer. Then arm PDCP t-Reordering (TS 38.323
+  /// §5.2.2.2): when a PDU is held waiting for a missing COUNT, a timer
+  /// bounds the wait; on expiry the held run is flushed past the gap.
+  /// Without it, one HARQ-exhausted loss would stall in-order delivery
+  /// forever. `deliver` is copied into the timer event — PdcpRx::Deliver
+  /// itself is a non-owning FunctionRef — so the early-out (the loss-free
+  /// common case) pays nothing for the owning copy.
   template <typename DeliverFn>
-  void arm_pdcp_reordering(PdcpRx& rx, bool& armed, const DeliverFn& deliver) {
+  void pdcp_receive(PdcpRx& rx, bool& armed, ByteBuffer&& sdu, const DeliverFn& deliver) {
+    if (!rx.receive(std::move(sdu), deliver)) ++pdcp_discards;
     if (rx.held_count() == 0 || armed) return;
     armed = true;
     sim.schedule_after(cfg.pdcp_t_reordering, [this, &rx, &armed, deliver] {
       armed = false;
       rx.flush(deliver);
     });
+  }
+
+  /// One gNB layer processing draw into the Table 2 stats and histogram.
+  void record_gnb_layer(Layer l, Nanos dt) {
+    const auto li = static_cast<std::size_t>(l);
+    gnb_layer_stats[li].add(dt.us());
+    if (m.gnb_layer[li] != nullptr) m.gnb_layer[li]->record(dt);
   }
 
   /// Traverse gNB layers, recording draws into the global Table 2 stats,
@@ -475,8 +497,7 @@ struct E2eSystem::Impl {
         sim, gnb.compute.proc, layers,
         [this, ridx, tseq](Layer l, Nanos dt) {
           const auto li = static_cast<std::size_t>(l);
-          gnb_layer_stats[li].add(dt.us());
-          if (m.gnb_layer[li]) m.gnb_layer[li]->record(dt);
+          record_gnb_layer(l, dt);
           if (ridx) rec(*ridx).gnb_layer_time[li] += dt;
           tracer.span_for(tseq, kGnbLayerSpan[li], LatencyCategory::Processing, dt);
         },
@@ -494,17 +515,29 @@ struct E2eSystem::Impl {
         storm_wrapped(tseq, std::move(done)));
   }
 
+  /// One injected packet's first event: open its trace, count it, and
+  /// start its direction's journey.
+  void start_packet(std::size_t ridx) {
+    const PacketRecord& r = rec(ridx);
+    UeCtx& ue = *ues[static_cast<std::size_t>(r.ue)];
+    const bool uplink = r.dir == Direction::Uplink;
+    if (tracer.enabled()) {
+      std::int32_t& tseq = uplink ? ue.ul_trace : ue.dl_trace;
+      tseq = r.seq;
+      tracer.open(tseq, sim.now());
+    }
+    ++packets_started[static_cast<std::size_t>(r.dir)];
+    if (uplink) {
+      start_uplink(ue, ridx);
+    } else {
+      start_downlink(ue, ridx);
+    }
+  }
+
   // =========================================================================
   // Uplink
 
-  void start_uplink(std::size_t ridx) {
-    UeCtx& ue = *ues[static_cast<std::size_t>(rec(ridx).ue)];
-    if (tracer.enabled()) {
-      ue.ul_trace = rec(ridx).seq;
-      tracer.open(ue.ul_trace, sim.now());
-    }
-    if (m.ul_sent != nullptr) m.ul_sent->inc();
-    ++packets_started;
+  void start_uplink(UeCtx& ue, std::size_t ridx) {
     // UE application creates the packet; APP down to RLC.
     ue_traverse(ue, {Layer::APP, Layer::SDAP, Layer::PDCP, Layer::RLC}, ue.ul_trace,
                 [this, ridx, &ue](Nanos end) {
@@ -536,20 +569,24 @@ struct E2eSystem::Impl {
     tracer.span_to(ue.ul_trace, "SR over the air", LatencyCategory::Protocol, op->end);
     sim.schedule_at(op->end, [this, &ue] {
       // gNB side: radio delivery of the SR samples, then PHY decode.
-      const Nanos rx = gnb.compute.radio.rx_delivery_latency(
-          samples_of(gnb.compute.radio, cfg.duplex->numerology().symbol_duration()));
-      tracer.span_for(ue.ul_trace, "gNB radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true), [this, &ue] {
-        gnb_traverse({Layer::PHY}, std::nullopt, ue.ul_trace, [this, &ue](Nanos aware) {
-          const auto plan = sched.plan_ul_grant(ue.id, aware);
-          if (!plan) {
-            ue.sr_pending = false;
-            return;
-          }
-          deliver_grant(ue, *plan);
-        });
-      });
+      radio_rx(gnb.compute.radio, "gNB radio RX chain", ue.ul_trace,
+               cfg.duplex->numerology().symbol_duration(), [this, &ue] {
+                 gnb_traverse({Layer::PHY}, std::nullopt, ue.ul_trace,
+                              [this, &ue](Nanos aware) { grant_or_release(ue, aware); });
+               });
     });
+  }
+
+  /// Plan a UL grant from `t` and send it. When the planner finds no
+  /// opportunity inside its search horizon the grant cycle ends: the SR
+  /// latch is released so the UE's next packet can request again (a latch
+  /// left set silently starved every later packet on the UE).
+  void grant_or_release(UeCtx& ue, Nanos t) {
+    if (const auto plan = sched.plan_ul_grant(ue.id, t)) {
+      deliver_grant(ue, *plan);
+    } else {
+      ue.sr_pending = false;
+    }
   }
 
   void deliver_grant(UeCtx& ue, const UlGrantPlan& plan) {
@@ -560,28 +597,19 @@ struct E2eSystem::Impl {
                    plan.control.end);
     sim.schedule_at(plan.control.end, [this, &ue, grant] {
       // UE decodes the DCI: radio + PHY + MAC.
-      const Nanos rx = ue.stack.compute.radio.rx_delivery_latency(
-          samples_of(ue.stack.compute.radio, cfg.duplex->numerology().symbol_duration()));
-      tracer.span_for(ue.ul_trace, "UE radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true),
-                         [this, &ue, grant] {
+      radio_rx(ue.stack.compute.radio, "UE radio RX chain", ue.ul_trace,
+               cfg.duplex->numerology().symbol_duration(), [this, &ue, grant] {
         ue_traverse(ue, {Layer::PHY, Layer::MAC}, ue.ul_trace, [this, &ue, grant](Nanos decoded) {
           if (decoded > grant.tx_start) {
             // Missed the granted window (§4's interdependency hazard):
             // the scheduler re-grants from the moment the UE was ready.
             ++missed_grants;
-            if (m.missed_grant != nullptr) m.missed_grant->inc();
-            const auto again = sched.plan_ul_grant(ue.id, decoded);
-            if (again) {
-              deliver_grant(ue, *again);
-            } else {
-              ue.sr_pending = false;
-            }
+            grant_or_release(ue, decoded);
             return;
           }
           tracer.span_to(ue.ul_trace, "wait for granted UL window", LatencyCategory::Protocol,
                          grant.tx_start);
-          sim.schedule_at(grant.tx_start, [this, &ue, grant] { serve_ul_grant(ue, grant, 1); });
+          sim.schedule_at(grant.tx_start, [this, &ue, grant] { serve_ul_grant(ue, grant); });
         });
       });
     });
@@ -604,11 +632,11 @@ struct E2eSystem::Impl {
     tracer.span_to(ue.ul_trace, "wait for UL occasion", LatencyCategory::Protocol, grant.tx_start);
     sim.schedule_at(grant.tx_start, [this, &ue, grant] {
       ue.cg_scheduled = false;
-      serve_ul_grant(ue, grant, 1);
+      serve_ul_grant(ue, grant);
     });
   }
 
-  void serve_ul_grant(UeCtx& ue, const UlGrant& grant, int attempt) {
+  void serve_ul_grant(UeCtx& ue, const UlGrant& grant) {
     // Fill the transport block: BSR CE first, then as many RLC PDUs as fit.
     // The CE's single payload byte is written after the pulls, once the
     // remaining backlog is known.
@@ -636,57 +664,57 @@ struct E2eSystem::Impl {
     // Grant-free UEs keep their pre-allocated occasions: arm the next one
     // right away when backlog remains (it need not wait for the gNB).
     if (cfg.grant_free && rlc.has_data()) schedule_cg_service(ue);
+    transmit_ul(ue, grant, std::move(tb), 1);
+  }
 
-    // NR-U: the block must win channel access first; deferral shifts the
-    // whole air window (the grid slot is a scheduling opportunity, the
-    // channel decides when the burst actually starts).
-    Nanos air_end = grant.tx_end;
-    LbtGate::Access access{};
-    if (lbt) {
-      access = lbt_clear(ue.ul_trace, grant.tx_start, grant.tx_end - grant.tx_start);
-      air_end += access.deferral;
-    }
-    bool lost = channel_lost();
-    // Cross-link interference: a neighbouring cell's DL-upgraded slot facing
-    // this UL transmission (sharded engine, dynamic TDD).
-    if (!lost && crosslink_ul_lost()) lost = true;
-    // Hidden interference the energy detector could not see.
-    if (!lost && access.collided) lost = true;
-    if (lbt) lbt->on_harq_feedback(lost);
-    if (lost && attempt < cfg.harq_max_tx) {
+  /// Send one UL TB in `grant`'s window: a new TB (attempt 1) or a HARQ
+  /// retransmission (AM-mode RLC would additionally recover via status
+  /// reports; HARQ is the first line of defence). NR-U deferral shifts the
+  /// whole air window — the grid slot is a scheduling opportunity, the
+  /// channel decides when the burst actually starts.
+  void transmit_ul(UeCtx& ue, const UlGrant& grant, ByteBuffer tb, int attempt) {
+    const AirOutcome air = air_attempt(ue.ul_trace, grant.tx_start, grant.tx_end, true);
+    const Nanos air_end = grant.tx_end + air.deferral;
+    if (air.lost && attempt < cfg.harq_max_tx) {
       // NACK path: keep the TB, and after the feedback delay retransmit on
       // the next opportunity of the same access mode.
       tracer.span_to(ue.ul_trace, "UL data over the air (lost)", LatencyCategory::Protocol,
                      air_end);
       tracer.span_to(ue.ul_trace, "HARQ feedback wait", LatencyCategory::Protocol,
                      air_end + cfg.harq_feedback_delay);
-      ue.retx_queue.push_back(UeCtx::RetxTb{std::move(tb), attempt + 1});
+      // The queue is ordered by first transmission: a new loss joins the
+      // back, a re-lost TB returns to the *front*, so no newer loss can
+      // overtake (and unboundedly delay) an older packet's recovery.
+      UeCtx::RetxTb entry{std::move(tb), attempt + 1};
+      if (attempt == 1) {
+        ue.retx_queue.push_back(std::move(entry));
+      } else {
+        ue.retx_queue.push_front(std::move(entry));
+      }
       ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
       sim.schedule_at(air_end + cfg.harq_feedback_delay, [this, &ue] { retransmit_ul(ue); });
       return;
     }
-    if (lost) {
-      // HARQ budget exhausted on the first (and only) transmission.
-      drop_tb_harq(ue.ul_trace);
+    if (air.lost) {
+      // HARQ budget exhausted: account it, then keep serving any other lost
+      // TBs and restart the access flow for backlog.
+      drop(harq_dropped, ue.ul_trace);
       resume_ul_after_drop(ue);
       return;
     }
-
     tracer.span_to(ue.ul_trace, "UL data over the air", LatencyCategory::Protocol, air_end);
     sim.schedule_at(air_end, [this, &ue, tb = std::move(tb), attempt]() mutable {
-      const Nanos rx = gnb.compute.radio.rx_delivery_latency(
-          samples_of(gnb.compute.radio, Nanos{100'000}));
-      tracer.span_for(ue.ul_trace, "gNB radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true),
-                         [this, &ue, tb = std::move(tb), attempt]() mutable {
-                           gnb_rx_ul(ue, std::move(tb), attempt);
-                         });
+      radio_rx(gnb.compute.radio, "gNB radio RX chain", ue.ul_trace, Nanos{100'000},
+               [this, &ue, tb = std::move(tb), attempt]() mutable {
+                 gnb_rx_ul(ue, std::move(tb), attempt);
+               });
     });
+    // A retransmission chains the next opportunity for any other lost TBs.
+    if (attempt > 1 && !ue.retx_queue.empty()) retransmit_ul(ue);
   }
 
   /// Acquire a fresh opportunity of the same access mode and re-send the
-  /// oldest lost TB. (AM-mode RLC would additionally recover via status
-  /// reports; HARQ is the first line of defence.)
+  /// oldest lost TB.
   void retransmit_ul(UeCtx& ue) {
     if (ue.retx_queue.empty()) return;
     std::optional<UlGrant> opportunity;
@@ -705,7 +733,7 @@ struct E2eSystem::Impl {
       if (++front.stranded_retries > kStrandedRetryCap) {
         ue.retx_queue.pop_front();
         ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-        drop_stranded(ue.ul_trace);
+        drop(stranded_drops, ue.ul_trace);
         resume_ul_after_drop(ue);
         return;
       }
@@ -718,61 +746,13 @@ struct E2eSystem::Impl {
     const UlGrant g = *opportunity;
     tracer.span_to(ue.ul_trace, "wait for retransmission occasion", LatencyCategory::Protocol,
                    g.tx_start);
-    sim.schedule_at(g.tx_start, [this, &ue, g] { resend_ul_tb(ue, g); });
-  }
-
-  void resend_ul_tb(UeCtx& ue, const UlGrant& grant) {
-    if (ue.retx_queue.empty()) return;
-    UeCtx::RetxTb entry = std::move(ue.retx_queue.front());
-    ue.retx_queue.pop_front();
-    ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-    // Retransmissions clear LBT like any other data burst (only short
-    // control signalling is exempt).
-    Nanos air_end = grant.tx_end;
-    LbtGate::Access access{};
-    if (lbt) {
-      access = lbt_clear(ue.ul_trace, grant.tx_start, grant.tx_end - grant.tx_start);
-      air_end += access.deferral;
-    }
-    bool lost = channel_lost();
-    if (!lost && crosslink_ul_lost()) lost = true;
-    if (!lost && access.collided) lost = true;
-    if (lbt) lbt->on_harq_feedback(lost);
-    if (lost && entry.attempt < cfg.harq_max_tx) {
-      tracer.span_to(ue.ul_trace, "UL data over the air (lost)", LatencyCategory::Protocol,
-                     air_end);
-      tracer.span_to(ue.ul_trace, "HARQ feedback wait", LatencyCategory::Protocol,
-                     air_end + cfg.harq_feedback_delay);
-      ++entry.attempt;
-      entry.stranded_retries = 0;
-      // Back to the *front*: the queue is ordered by first transmission, and
-      // a push_back here would let every newer loss overtake this (oldest)
-      // packet's recovery, unboundedly delaying its delivery.
-      ue.retx_queue.push_front(std::move(entry));
+    sim.schedule_at(g.tx_start, [this, &ue, g] {
+      if (ue.retx_queue.empty()) return;
+      UeCtx::RetxTb entry = std::move(ue.retx_queue.front());
+      ue.retx_queue.pop_front();
       ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-      sim.schedule_at(air_end + cfg.harq_feedback_delay, [this, &ue] { retransmit_ul(ue); });
-      return;
-    }
-    if (lost) {
-      // HARQ budget exhausted on a retransmission: account it, then keep
-      // serving any other lost TBs (the early return used to orphan them).
-      drop_tb_harq(ue.ul_trace);
-      resume_ul_after_drop(ue);
-      return;
-    }
-    const int attempt = entry.attempt;
-    tracer.span_to(ue.ul_trace, "UL data over the air", LatencyCategory::Protocol, air_end);
-    sim.schedule_at(air_end, [this, &ue, tb = std::move(entry.tb), attempt]() mutable {
-      const Nanos rx = gnb.compute.radio.rx_delivery_latency(
-          samples_of(gnb.compute.radio, Nanos{100'000}));
-      tracer.span_for(ue.ul_trace, "gNB radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true),
-                         [this, &ue, tb = std::move(tb), attempt]() mutable {
-                           gnb_rx_ul(ue, std::move(tb), attempt);
-                         });
+      transmit_ul(ue, g, std::move(entry.tb), entry.attempt);
     });
-    // More lost TBs pending? Chain another opportunity.
-    if (!ue.retx_queue.empty()) retransmit_ul(ue);
   }
 
   void gnb_rx_ul(UeCtx& ue, ByteBuffer tb, int attempt) {
@@ -790,8 +770,7 @@ struct E2eSystem::Impl {
       }
       if (!cfg.grant_free) {
         if (more_data || ue.stack.uplink().rlc_tx.has_data()) {
-          const auto plan = sched.plan_ul_grant(ue.id, sim.now());
-          if (plan) deliver_grant(ue, *plan);
+          grant_or_release(ue, sim.now());
         } else {
           ue.sr_pending = false;
         }
@@ -807,19 +786,11 @@ struct E2eSystem::Impl {
         std::move(pdu), [this, &ue, chain, attempt](ByteBuffer&& sdu, const PacketMeta&) {
           gnb_traverse({Layer::RLC, Layer::PDCP, Layer::SDAP}, std::nullopt, ue.ul_trace,
                        [this, &ue, chain, sdu = std::move(sdu), attempt](Nanos) mutable {
-                         const auto deliver = [this, &ue, attempt](ByteBuffer&& plain,
-                                                                   const PacketMeta&) {
-                           deliver_ul(ue, std::move(plain), attempt);
-                         };
-                         // A refused PDU (stale behind a t-Reordering flush,
-                         // duplicate, or integrity-failed) is a terminal loss
-                         // for its packet: count it, or reliability silently
-                         // inflates when recovery outlasts the flush timer.
-                         if (!gnb.uplink(chain).pdcp_rx.receive(std::move(sdu), deliver)) {
-                           ++pdcp_discards;
-                         }
-                         arm_pdcp_reordering(gnb.uplink(chain).pdcp_rx, ue.ul_reorder_armed,
-                                             deliver);
+                         pdcp_receive(gnb.uplink(chain).pdcp_rx, ue.ul_reorder_armed,
+                                      std::move(sdu),
+                                      [this, &ue, attempt](ByteBuffer&& plain, const PacketMeta&) {
+                                        deliver_ul(ue, std::move(plain), attempt);
+                                      });
                        });
         });
   }
@@ -838,54 +809,29 @@ struct E2eSystem::Impl {
     }();
     // A UPF outage may eat the packet after the whole radio journey — the
     // §6 point that reliability is end-to-end, not an air-interface property.
-    if (!faults.empty() && faults.upf_dropped(sim.now())) {
-      if (m.f_upf_drop != nullptr) m.f_upf_drop->inc();
-      std::int32_t t = seq;
-      if (ue.ul_trace == seq) ue.ul_trace = -1;
-      tracer.abandon(t);
-      return;
-    }
-    Nanos upf_extra{};
-    if (!faults.empty() && (upf_extra = faults.upf_extra_delay(sim.now())) > Nanos::zero()) {
-      if (m.f_upf_delay != nullptr) m.f_upf_delay->inc();
-      tracer.span_for(seq, "fault: UPF outage delay", LatencyCategory::Protocol, upf_extra);
-    }
+    const std::optional<Nanos> upf_extra = upf_outage(seq);
+    if (ue.ul_trace == seq) ue.ul_trace = -1;
+    if (!upf_extra) return;
     tracer.span_for(seq, "core network (UPF + backhaul)", LatencyCategory::Protocol,
                     upf.backhaul() + upf_latency);
-    if (ue.ul_trace == seq) ue.ul_trace = -1;
-    sim.schedule_after(upf.backhaul() + upf_latency + upf_extra,
+    sim.schedule_after(upf.backhaul() + upf_latency + *upf_extra,
                        [this, seq, attempt] { finalize(seq, attempt); });
   }
 
   // =========================================================================
   // Downlink
 
-  void start_downlink(std::size_t ridx) {
+  void start_downlink(UeCtx& ue, std::size_t ridx) {
     // Packet enters at the UPF from the data network.
-    const PacketRecord& r = rec(ridx);
-    UeCtx& ue = *ues[static_cast<std::size_t>(r.ue)];
-    if (tracer.enabled()) {
-      ue.dl_trace = r.seq;
-      tracer.open(ue.dl_trace, sim.now());
-    }
-    if (m.dl_sent != nullptr) m.dl_sent->inc();
-    ++packets_started;
-    ByteBuffer pkt = make_payload(r.seq, cfg.payload_bytes);
+    ByteBuffer pkt = make_payload(rec(ridx).seq, cfg.payload_bytes);
     // DL packets meet the UPF first: an outage drops or delays them before
     // the radio stack ever sees a byte.
-    if (!faults.empty() && faults.upf_dropped(sim.now())) {
-      if (m.f_upf_drop != nullptr) m.f_upf_drop->inc();
-      tracer.abandon(ue.dl_trace);
+    const std::optional<Nanos> upf_extra = upf_outage(ue.dl_trace);
+    if (!upf_extra) {
       ue.dl_trace = -1;
       return;
     }
-    Nanos upf_extra{};
-    if (!faults.empty() && (upf_extra = faults.upf_extra_delay(sim.now())) > Nanos::zero()) {
-      if (m.f_upf_delay != nullptr) m.f_upf_delay->inc();
-      tracer.span_for(ue.dl_trace, "fault: UPF outage delay", LatencyCategory::Protocol,
-                      upf_extra);
-    }
-    const Nanos upf_latency = upf.process_downlink(pkt, ue.teid()) + upf_extra;
+    const Nanos upf_latency = upf.process_downlink(pkt, ue.teid()) + *upf_extra;
     tracer.span_for(ue.dl_trace, "core network (UPF + backhaul)", LatencyCategory::Protocol,
                     upf_latency + upf.backhaul());
     sim.schedule_after(upf_latency + upf.backhaul(),
@@ -937,17 +883,19 @@ struct E2eSystem::Impl {
         tracer.span_to(ue.dl_trace, "URLLC preemption: stolen DL window",
                        LatencyCategory::Protocol, sim.now());
         const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-        sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a, 1, /*stolen=*/true); });
+        sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a, /*stolen=*/true); });
         return;
       }
     }
     if (!plan) {
       // DL twin of the stranded-UL fix: no assignment inside the planner's
       // horizon (a DL-starved pattern). Re-arm one slot later; past the cap,
-      // account the head-of-line SDU as stranded and stop re-arming (the
-      // bytes stay in the RLC queue for a later explicit service call).
+      // discard the head-of-line SDU and account it as stranded — a later
+      // service call must not deliver a packet already counted as lost.
       if (stranded_retries >= kStrandedRetryCap) {
-        drop_stranded(ue.dl_trace);
+        if (gnb.downlink(static_cast<std::size_t>(ue.index)).rlc_tx.discard_head()) {
+          drop(stranded_drops, ue.dl_trace);
+        }
         return;
       }
       sim.schedule_at(sim.now() + slot_dur, [this, &ue, stranded_retries] {
@@ -957,10 +905,10 @@ struct E2eSystem::Impl {
     }
     const DlAssignment a = *plan;
     const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-    sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a, 1); });
+    sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a); });
   }
 
-  void serve_dl(UeCtx& ue, const DlAssignment& original, int attempt, bool stolen = false) {
+  void serve_dl(UeCtx& ue, const DlAssignment& original, bool stolen = false) {
     DlAssignment a = original;
     a.tb_bytes = std::min(a.tb_bytes, window_capacity_bytes(a));
     const std::size_t chain = static_cast<std::size_t>(ue.index);
@@ -979,22 +927,53 @@ struct E2eSystem::Impl {
     sub.push_back(MacSubPdu{Lcid::Drb1, std::move(pulled->pdu)});
     ByteBuffer tb = build_mac_pdu(sub, a.tb_bytes);
 
-    // Stage the transmission in the preemption ledger: from here until the
-    // air window completes, a URLLC arrival may steal it.
-    const std::uint64_t token =
-        preemption_on() ? ledger.register_tx(ue.index, a.tx_start, a.tx_end) : 0;
-
     // If segmentation left data behind, plan the remainder immediately.
     if (gnb.downlink(chain).rlc_tx.has_data()) schedule_dl_service(ue, sim.now());
 
-    // PHY encode + radio staging against the air deadline (§4's margin).
-    // Only the stochastic draw feeds the Table 2 PHY statistics; the
+    // Only the stochastic PHY draw feeds the Table 2 PHY statistics; the
     // size-dependent encode cost is the deterministic pipeline part.
     const Nanos phy_draw = gnb.compute.proc.sample(Layer::PHY);
-    gnb_layer_stats[static_cast<std::size_t>(Layer::PHY)].add(phy_draw.us());
-    if (m.gnb_layer[static_cast<std::size_t>(Layer::PHY)] != nullptr) {
-      m.gnb_layer[static_cast<std::size_t>(Layer::PHY)]->record(phy_draw);
+    record_gnb_layer(Layer::PHY, phy_draw);
+    stage_dl(ue, a, std::move(tb), 1, phy_draw, stolen);
+  }
+
+  /// Re-plan a DL transport block whose slot was missed or lost.
+  void requeue_dl_tb(UeCtx& ue, ByteBuffer tb, Nanos ready, int attempt,
+                     int stranded_retries = 0) {
+    const std::size_t bytes = tb.size();
+    const auto plan = sched.plan_dl(ue.id, ready, bytes);
+    if (!plan) {
+      // No assignment inside the planner's horizon: re-arm, then drop and
+      // account past the cap (previously the TB vanished uncounted).
+      if (stranded_retries >= kStrandedRetryCap) {
+        drop(stranded_drops, ue.dl_trace);
+        return;
+      }
+      sim.schedule_at(sim.now() + slot_dur,
+                      [this, &ue, tb = std::move(tb), attempt, stranded_retries]() mutable {
+                        requeue_dl_tb(ue, std::move(tb), sim.now(), attempt,
+                                      stranded_retries + 1);
+                      });
+      return;
     }
+    const DlAssignment a = *plan;
+    const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
+    sim.schedule_at(pull_time, [this, &ue, a, attempt, tb = std::move(tb)]() mutable {
+      tracer.span_to(ue.dl_trace, "wait for re-planned DL slot", LatencyCategory::Protocol,
+                     sim.now());
+      stage_dl(ue, a, std::move(tb), attempt, Nanos::zero(), /*stolen=*/false);
+    });
+  }
+
+  /// Stage DL TB `tb` for `a`'s air window, first transmission or HARQ
+  /// re-entry: register it in the preemption ledger (from here until its
+  /// air window completes, a URLLC arrival may steal it), PHY-encode it
+  /// (plus `phy_draw`), then race the radio staging pipeline against the
+  /// air deadline (§4's margin).
+  void stage_dl(UeCtx& ue, const DlAssignment& a, ByteBuffer tb, int attempt, Nanos phy_draw,
+                bool stolen) {
+    const std::uint64_t token =
+        preemption_on() ? ledger.register_tx(ue.index, a.tx_start, a.tx_end) : 0;
     const Nanos encode =
         gnb.compute.phy.encode_time(static_cast<int>(a.tb_bytes * 8)) + phy_draw;
     tracer.span_for(ue.dl_trace, "gNB PHY encode", LatencyCategory::Processing, encode);
@@ -1018,20 +997,19 @@ struct E2eSystem::Impl {
         prep = gnb.compute.radio.prepare_tx(sim.now(), n_samples, a.tx_start);
         // A bus stall extends the sample transfer: it erodes the §4 margin
         // and can push the buffer past the air deadline.
-        prep.ready_at += fault_bus_stall(ue.dl_trace, /*trace_span=*/false);
+        prep.ready_at += fault_bus_stall();
         prep.on_time = prep.ready_at <= a.tx_start;
       }
       if (!prep.on_time) {
         // Samples missed the slot: corrupted signal (§4). Count it and treat
         // as a lost transmission — retransmit if budget remains.
         ++owner.radio_deadline_misses_;
-        if (m.radio_miss != nullptr) m.radio_miss->inc();
-        const bool was_punctured = token != 0 && ledger.consume(token);
+        const bool punctured = token != 0 && ledger.consume(token);
         if (attempt < cfg.harq_max_tx) {
-          if (was_punctured) count_punctured_retx();
+          if (punctured) ++punctured_retx;
           requeue_dl_tb(ue, std::move(tb), prep.ready_at, attempt + 1);
         } else {
-          drop_tb_harq(ue.dl_trace);  // budget exhausted on deadline misses
+          drop(harq_dropped, ue.dl_trace);  // budget exhausted on deadline misses
         }
         return;
       }
@@ -1042,89 +1020,20 @@ struct E2eSystem::Impl {
     });
   }
 
-  /// Re-plan a DL transport block whose slot was missed or lost.
-  void requeue_dl_tb(UeCtx& ue, ByteBuffer tb, Nanos ready, int attempt,
-                     int stranded_retries = 0) {
-    const std::size_t bytes = tb.size();
-    const auto plan = sched.plan_dl(ue.id, ready, bytes);
-    if (!plan) {
-      // No assignment inside the planner's horizon: re-arm, then drop and
-      // account past the cap (previously the TB vanished uncounted).
-      if (stranded_retries >= kStrandedRetryCap) {
-        drop_stranded(ue.dl_trace);
-        return;
-      }
-      sim.schedule_at(sim.now() + slot_dur,
-                      [this, &ue, tb = std::move(tb), attempt, stranded_retries]() mutable {
-                        requeue_dl_tb(ue, std::move(tb), sim.now(), attempt,
-                                      stranded_retries + 1);
-                      });
-      return;
-    }
-    const DlAssignment a = *plan;
-    const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-    sim.schedule_at(pull_time, [this, &ue, a, attempt, tb = std::move(tb)]() mutable {
-      tracer.span_to(ue.dl_trace, "wait for re-planned DL slot", LatencyCategory::Protocol,
-                     sim.now());
-      const std::uint64_t token =
-          preemption_on() ? ledger.register_tx(ue.index, a.tx_start, a.tx_end) : 0;
-      const Nanos encode = gnb.compute.phy.encode_time(static_cast<int>(a.tb_bytes * 8));
-      tracer.span_for(ue.dl_trace, "gNB PHY encode", LatencyCategory::Processing, encode);
-      sim.schedule_after(encode, [this, &ue, a, attempt, token, tb = std::move(tb)]() mutable {
-        const auto n_samples = samples_of(gnb.compute.radio, a.tx_end - a.tx_start);
-        TxPreparation prep = gnb.compute.radio.prepare_tx(sim.now(), n_samples, a.tx_start);
-        prep.ready_at += fault_bus_stall(ue.dl_trace, /*trace_span=*/false);
-        prep.on_time = prep.ready_at <= a.tx_start;
-        if (!prep.on_time) {
-          ++owner.radio_deadline_misses_;
-          if (m.radio_miss != nullptr) m.radio_miss->inc();
-          const bool was_punctured = token != 0 && ledger.consume(token);
-          if (attempt < cfg.harq_max_tx) {
-            if (was_punctured) count_punctured_retx();
-            requeue_dl_tb(ue, std::move(tb), prep.ready_at, attempt + 1);
-          } else {
-            drop_tb_harq(ue.dl_trace);
-          }
-          return;
-        }
-        tracer.span_to(ue.dl_trace, "gNB radio TX chain", LatencyCategory::Radio,
-                       std::min(prep.ready_at, a.tx_start));
-        tracer.span_to(ue.dl_trace, "wait for DL slot", LatencyCategory::Protocol, a.tx_start);
-        transmit_dl(ue, a, std::move(tb), attempt, token);
-      });
-    });
-  }
-
   void transmit_dl(UeCtx& ue, const DlAssignment& assigned, ByteBuffer tb, int attempt,
-                   std::uint64_t token = 0) {
+                   std::uint64_t token) {
     // NR-U: the gNB clears CAT4 before the burst; the whole assignment
-    // window shifts by the deferral (the caller's cursor already sits at
-    // the nominal tx_start, so the deferral span tiles exactly).
+    // window shifts by the deferral.
+    const AirOutcome air = air_attempt(ue.dl_trace, assigned.tx_start, assigned.tx_end, false);
     DlAssignment a = assigned;
-    LbtGate::Access access{};
-    if (lbt) {
-      access = lbt_clear(ue.dl_trace, a.tx_start, a.tx_end - a.tx_start);
-      a.tx_start += access.deferral;
-      a.tx_end += access.deferral;
-    }
-    bool lost = channel_lost();
-    if (!lost && access.collided) lost = true;
-    if (lbt) lbt->on_harq_feedback(lost);
-    if (lost) {
+    a.tx_start += air.deferral;
+    a.tx_end += air.deferral;
+    if (air.lost) {
       if (attempt < cfg.harq_max_tx) {
-        tracer.span_to(ue.dl_trace, "DL data over the air (lost)", LatencyCategory::Protocol,
-                       a.tx_end);
-        tracer.span_to(ue.dl_trace, "HARQ feedback wait", LatencyCategory::Protocol,
-                       a.tx_end + cfg.harq_feedback_delay);
-        sim.schedule_at(a.tx_end + cfg.harq_feedback_delay,
-                        [this, &ue, tb = std::move(tb), attempt, token]() mutable {
-                          // Lost *and* punctured resolves as one re-entry.
-                          if (token != 0 && ledger.consume(token)) count_punctured_retx();
-                          requeue_dl_tb(ue, std::move(tb), sim.now(), attempt + 1);
-                        });
+        nack_dl(ue, std::move(tb), attempt, token, a.tx_end, "DL data over the air (lost)");
       } else {
         if (token != 0) (void)ledger.consume(token);
-        drop_tb_harq(ue.dl_trace);  // budget exhausted
+        drop(harq_dropped, ue.dl_trace);  // budget exhausted
       }
       return;
     }
@@ -1134,28 +1043,34 @@ struct E2eSystem::Impl {
         // A URLLC arrival stole this TB's air window: the transmission
         // behaves exactly like a lost one and re-enters HARQ.
         if (attempt < cfg.harq_max_tx) {
-          count_punctured_retx();
-          tracer.span_to(ue.dl_trace, "DL TB punctured by URLLC", LatencyCategory::Protocol,
-                         a.tx_end);
-          tracer.span_to(ue.dl_trace, "HARQ feedback wait", LatencyCategory::Protocol,
-                         a.tx_end + cfg.harq_feedback_delay);
-          sim.schedule_at(a.tx_end + cfg.harq_feedback_delay,
-                          [this, &ue, tb = std::move(tb), attempt]() mutable {
-                            requeue_dl_tb(ue, std::move(tb), sim.now(), attempt + 1);
-                          });
+          ++punctured_retx;
+          nack_dl(ue, std::move(tb), attempt, /*token=*/0, a.tx_end, "DL TB punctured by URLLC");
         } else {
-          drop_tb_harq(ue.dl_trace);  // punctured with no budget left
+          drop(harq_dropped, ue.dl_trace);  // punctured with no budget left
         }
         return;
       }
-      const Nanos rx = ue.stack.compute.radio.rx_delivery_latency(
-          samples_of(ue.stack.compute.radio, a.tx_end - a.tx_start));
-      tracer.span_for(ue.dl_trace, "UE radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.dl_trace, /*trace_span=*/true),
-                         [this, &ue, tb = std::move(tb), attempt]() mutable {
-                           ue_rx_dl(ue, std::move(tb), attempt);
-                         });
+      radio_rx(ue.stack.compute.radio, "UE radio RX chain", ue.dl_trace, a.tx_end - a.tx_start,
+               [this, &ue, tb = std::move(tb), attempt]() mutable {
+                 ue_rx_dl(ue, std::move(tb), attempt);
+               });
     });
+  }
+
+  /// HARQ NACK for a DL TB whose air window ended at `air_end` (`what`
+  /// names the failed window): wait for the feedback, then re-plan the TB.
+  /// A puncture of `token`'s window found by then resolves as the same
+  /// single re-entry.
+  void nack_dl(UeCtx& ue, ByteBuffer tb, int attempt, std::uint64_t token, Nanos air_end,
+               const char* what) {
+    tracer.span_to(ue.dl_trace, what, LatencyCategory::Protocol, air_end);
+    tracer.span_to(ue.dl_trace, "HARQ feedback wait", LatencyCategory::Protocol,
+                   air_end + cfg.harq_feedback_delay);
+    sim.schedule_at(air_end + cfg.harq_feedback_delay,
+                    [this, &ue, tb = std::move(tb), attempt, token]() mutable {
+                      if (token != 0 && ledger.consume(token)) ++punctured_retx;
+                      requeue_dl_tb(ue, std::move(tb), sim.now(), attempt + 1);
+                    });
   }
 
   void ue_rx_dl(UeCtx& ue, ByteBuffer tb, int attempt) {
@@ -1169,18 +1084,15 @@ struct E2eSystem::Impl {
             std::move(sp.payload), [this, &ue, attempt](ByteBuffer&& sdu, const PacketMeta&) {
               ue_traverse(ue, {Layer::RLC, Layer::PDCP, Layer::SDAP, Layer::APP}, ue.dl_trace,
                           [this, &ue, sdu = std::move(sdu), attempt](Nanos) mutable {
-                            const auto deliver =
-                                [this, &ue, attempt](ByteBuffer&& plain, const PacketMeta&) {
-                                  (void)ue.stack.compute.sdap.decapsulate(plain);
-                                  const int seq = read_seq(plain);
-                                  if (ue.dl_trace == seq) ue.dl_trace = -1;
-                                  finalize(seq, attempt);
-                                };
-                            if (!ue.stack.downlink().pdcp_rx.receive(std::move(sdu), deliver)) {
-                              ++pdcp_discards;
-                            }
-                            arm_pdcp_reordering(ue.stack.downlink().pdcp_rx,
-                                                ue.dl_reorder_armed, deliver);
+                            pdcp_receive(ue.stack.downlink().pdcp_rx, ue.dl_reorder_armed,
+                                         std::move(sdu),
+                                         [this, &ue, attempt](ByteBuffer&& plain,
+                                                              const PacketMeta&) {
+                                           (void)ue.stack.compute.sdap.decapsulate(plain);
+                                           const int seq = read_seq(plain);
+                                           if (ue.dl_trace == seq) ue.dl_trace = -1;
+                                           finalize(seq, attempt);
+                                         });
                           });
             });
       }
@@ -1197,12 +1109,24 @@ struct E2eSystem::Impl {
     r.ok = true;
     r.harq_transmissions = attempt;
     ++packets_delivered;
+    harq_retx += static_cast<std::uint64_t>(attempt - 1);
     tracer.close(seq, sim.now());
-    if (m.delivered != nullptr) {
-      m.delivered->inc();
-      if (attempt > 1) m.harq_retx->inc(static_cast<std::uint64_t>(attempt - 1));
-      (r.dir == Direction::Uplink ? m.ul_latency : m.dl_latency)->record(r.latency());
+    if (LatencyHistogram* h = r.dir == Direction::Uplink ? m.ul_latency : m.dl_latency) {
+      h->record(r.latency());
     }
+  }
+
+  /// Record a packet offered at `at` and schedule its injection.
+  void inject(Direction dir, Nanos at, int ue) {
+    if (ue < 0 || static_cast<std::size_t>(ue) >= ues.size())
+      throw std::out_of_range{"E2eSystem: UE index out of range"};
+    const std::size_t idx = owner.records_.size();
+    PacketRecord& r = owner.records_.emplace_back();
+    r.seq = static_cast<int>(idx);
+    r.ue = ue;
+    r.dir = dir;
+    r.created = at;
+    sim.schedule_at(at, [this, idx] { start_packet(idx); });
   }
 };
 
@@ -1223,43 +1147,24 @@ const Tracer& E2eSystem::tracer() const { return impl_->tracer; }
 MetricsRegistry& E2eSystem::metrics() { return impl_->metrics; }
 const MetricsRegistry& E2eSystem::metrics() const { return impl_->metrics; }
 
-void E2eSystem::send_uplink_at(Nanos at, int ue) {
-  if (ue < 0 || static_cast<std::size_t>(ue) >= impl_->ues.size())
-    throw std::out_of_range{"E2eSystem: UE index out of range"};
-  PacketRecord r;
-  r.seq = static_cast<int>(records_.size());
-  r.ue = ue;
-  r.dir = Direction::Uplink;
-  r.created = at;
-  records_.push_back(r);
-  const std::size_t idx = records_.size() - 1;
-  impl_->sim.schedule_at(at, [this, idx] { impl_->start_uplink(idx); });
-}
-
-void E2eSystem::send_downlink_at(Nanos at, int ue) {
-  if (ue < 0 || static_cast<std::size_t>(ue) >= impl_->ues.size())
-    throw std::out_of_range{"E2eSystem: UE index out of range"};
-  PacketRecord r;
-  r.seq = static_cast<int>(records_.size());
-  r.ue = ue;
-  r.dir = Direction::Downlink;
-  r.created = at;
-  records_.push_back(r);
-  const std::size_t idx = records_.size() - 1;
-  impl_->sim.schedule_at(at, [this, idx] { impl_->start_downlink(idx); });
-}
+void E2eSystem::send_uplink_at(Nanos at, int ue) { impl_->inject(Direction::Uplink, at, ue); }
+void E2eSystem::send_downlink_at(Nanos at, int ue) { impl_->inject(Direction::Downlink, at, ue); }
 
 void E2eSystem::run_until(Nanos until) {
   impl_->sim.run_until(until);
   // Slot barrier: the window's scratch is dead, recycle it in O(1).
   impl_->arena.epoch_reset();
+  if (impl_->cfg.trace.metrics_on()) impl_->publish_counters();
 }
 
 Arena& E2eSystem::slot_arena() { return impl_->arena; }
 
-std::uint64_t E2eSystem::packets_started() const { return impl_->packets_started; }
+std::uint64_t E2eSystem::packets_started() const {
+  return impl_->packets_started[0] + impl_->packets_started[1];
+}
 std::uint64_t E2eSystem::packets_delivered() const { return impl_->packets_delivered; }
 
+std::uint64_t E2eSystem::missed_grants() const { return impl_->missed_grants; }
 std::uint64_t E2eSystem::harq_dropped_tbs() const { return impl_->harq_dropped; }
 std::uint64_t E2eSystem::stranded_drops() const { return impl_->stranded_drops; }
 std::uint64_t E2eSystem::pdcp_discards() const { return impl_->pdcp_discards; }

@@ -39,10 +39,7 @@ struct PacketRecord {
   Nanos created{};
   Nanos delivered{};
   bool ok = false;
-  Nanos rlc_queue_wait{};   ///< Table 2 "RLC-q" (gNB DL queue wait)
-  bool has_rlc_queue_wait = false;
   int harq_transmissions = 1;
-  bool missed_radio_deadline = false;
   std::array<Nanos, 6> gnb_layer_time{};  ///< indexed by static_cast<int>(Layer)
 
   [[nodiscard]] Nanos latency() const { return delivered - created; }
@@ -73,8 +70,10 @@ class E2eSystem {
   /// Per-packet span tracer (recording iff `StackConfig::trace.spans_on()`).
   [[nodiscard]] Tracer& tracer();
   [[nodiscard]] const Tracer& tracer() const;
-  /// Counters + latency histograms (live iff `trace.metrics_on()`);
-  /// mergeable across replications.
+  /// Counters + latency histograms (iff `trace.metrics_on()`); mergeable
+  /// across replications. Histograms record live; the counters are set from
+  /// the run's tallies at the end of every run_until(), so read them after
+  /// one (their names are registered, at zero, from construction).
   [[nodiscard]] MetricsRegistry& metrics();
   [[nodiscard]] const MetricsRegistry& metrics() const;
 
@@ -89,6 +88,8 @@ class E2eSystem {
   /// Delivered fraction within `deadline` — the reliability figure of §6.
   [[nodiscard]] double reliability_at(Direction dir, Nanos deadline) const;
   [[nodiscard]] std::uint64_t radio_deadline_misses() const { return radio_deadline_misses_; }
+  /// UL grants the UE decoded too late for their window (re-granted).
+  [[nodiscard]] std::uint64_t missed_grants() const;
 
   // -- Loss accounting ------------------------------------------------------
   // Every offered packet ends in exactly one bucket: delivered, dropped on

@@ -103,6 +103,15 @@ std::optional<RlcTxPdu> RlcTx::pull(std::size_t max_bytes) {
   return RlcTxPdu{std::move(pdu), enq, sn, false};
 }
 
+bool RlcTx::discard_head() {
+  if (queue_.empty()) return false;
+  if (queue_.front().offset > 0 && mode_ != RlcMode::TM) {
+    next_sn_ = static_cast<std::uint16_t>((next_sn_ + 1) & 0x0FFF);
+  }
+  queue_.pop_front();
+  return true;
+}
+
 void RlcTx::on_status(std::uint16_t ack_sn, const std::vector<std::uint16_t>& nack_sns) {
   if (mode_ != RlcMode::AM) return;
   // Cumulative ACK: everything below ack_sn that is not NACKed is delivered.

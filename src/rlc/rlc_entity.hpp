@@ -48,6 +48,11 @@ class RlcTx {
   /// header plus at least one payload byte.
   [[nodiscard]] std::optional<RlcTxPdu> pull(std::size_t max_bytes);
 
+  /// Drop the head-of-line SDU (the MAC gave up on it). A head already
+  /// partly segmented gives up its SN, so the next SDU never shares an SN
+  /// with the orphaned segments. Returns false when nothing was queued.
+  bool discard_head();
+
   /// AM only: process a status report — ACKed SNs leave the retransmission
   /// buffer, NACKed SNs are queued for retransmission.
   void on_status(std::uint16_t ack_sn, const std::vector<std::uint16_t>& nack_sns);

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string_view>
+
 #include "core/e2e_system.hpp"
 #include "core/latency_model.hpp"
+#include "fault/gilbert_elliott.hpp"
+#include "fault/scenario.hpp"
+#include "phy/channel.hpp"
 #include "tdd/common_config.hpp"
 #include "tdd/mini_slot.hpp"
 
@@ -312,6 +319,229 @@ TEST(E2eAgreementTest, SimWithinAnalyticEnvelope) {
   ASSERT_EQ(dl.count(), 300u);
   EXPECT_LE(dl.max(), wc.worst.us() + 60.0);
   EXPECT_GE(dl.min(), wc.best.us() * 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// Behaviour pin: one digest over everything a run produces — every packet
+// record, every loss tally, the LBT and fault counters, the MAC backlog, the
+// metrics JSON (mid-run and final) and every span — across a feature matrix.
+// A change to the RNG draw order, the retransmission-queue order, a span or
+// a counter changes a digest. Re-pin only for an intended behaviour change.
+
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  void add(Nanos t) { add(static_cast<std::uint64_t>(t.count())); }
+  void add(std::string_view s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;  // FNV-1a
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Which mechanisms the matrix reached, summed over every run.
+struct PinCoverage {
+  std::uint64_t harq_drops = 0, retransmitted = 0, missed_grants = 0, radio_misses = 0;
+  std::uint64_t punctured = 0, xlink = 0, hidden_collisions = 0, deferred = 0;
+  std::uint64_t storms = 0, stalls = 0, bursts = 0, upf_drops = 0, upf_delays = 0;
+};
+
+struct PinCase {
+  const char* name;
+  StackConfig (*make)(std::uint64_t seed);
+  double xlink_activity;  ///< neighbour DL-upgrade activity set before the run
+  bool embb_bursts;       ///< extra DL bursts to UEs >= 1 (preemption victims)
+  std::array<std::uint64_t, 2> digest;  ///< one per seed in kPinSeeds
+};
+
+constexpr std::array<std::uint64_t, 2> kPinSeeds = {11, 12};
+
+StackConfig pin_iid(StackConfig c, int harq_max_tx) {
+  c.channel_loss = 0.2;
+  c.harq_max_tx = harq_max_tx;
+  return c;
+}
+
+std::uint64_t pin_run(const PinCase& pc, std::uint64_t seed, PinCoverage& cov) {
+  StackConfig cfg = pc.make(seed);
+  cfg.trace.enabled = true;  // spans and metrics both on
+  const int ues = std::max(cfg.num_ues, 1);
+  E2eSystem sys(std::move(cfg));
+  sys.set_crosslink_dl_activity(pc.xlink_activity);
+  Rng rng(seed ^ 0x9196ULL);
+  const auto jitter = [&rng] {
+    return Nanos{static_cast<std::int64_t>(rng.uniform() * static_cast<double>(kPattern.count()))};
+  };
+  constexpr int kRounds = 40;
+  for (int i = 0; i < kRounds; ++i) {
+    const Nanos base = kPattern * (2 * i);
+    for (int u = 0; u < ues; ++u) {
+      sys.send_uplink_at(base + jitter(), u);
+      sys.send_downlink_at(base + jitter(), u);
+      if (pc.embb_bursts && u > 0) {
+        for (int b = 0; b < 3; ++b) sys.send_downlink_at(base + Nanos{b}, u);
+      }
+    }
+  }
+  Digest d;
+  sys.run_until(kPattern * kRounds);
+  d.add(sys.metrics().to_json());
+  sys.run_until(kPattern * (2 * kRounds) + 400_ms);
+
+  for (const PacketRecord& r : sys.records()) {
+    d.add(static_cast<std::uint64_t>(r.seq));
+    d.add(static_cast<std::uint64_t>(r.ue));
+    d.add(static_cast<std::uint64_t>(r.dir));
+    d.add(r.created);
+    d.add(r.delivered);
+    d.add(static_cast<std::uint64_t>(r.ok));
+    d.add(static_cast<std::uint64_t>(r.harq_transmissions));
+    for (const Nanos t : r.gnb_layer_time) d.add(t);
+    cov.retransmitted += r.ok && r.harq_transmissions > 1 ? 1 : 0;
+  }
+  for (const std::uint64_t v :
+       {sys.packets_started(), sys.packets_delivered(), sys.harq_dropped_tbs(),
+        sys.stranded_drops(), sys.pdcp_discards(), sys.punctured_retx(),
+        sys.crosslink_ul_losses(), sys.radio_deadline_misses(), sys.dynamic_upgraded_slots()}) {
+    d.add(v);
+  }
+  const LbtGate::Stats l = sys.lbt_stats();
+  for (const std::uint64_t v : {l.attempts, l.deferred, l.cw_doublings, l.cw_resets,
+                                l.hidden_collisions}) {
+    d.add(v);
+  }
+  d.add(l.deferral_total);
+  d.add(l.nru_airtime);
+  d.add(l.wifi_overlap);
+  const FaultInjector::Counters f = sys.fault_counters();
+  for (const std::uint64_t v :
+       {f.burst_losses, f.storm_spikes, f.bus_stalls, f.upf_drops, f.upf_delays}) {
+    d.add(v);
+  }
+  const E2eSystem::MacBacklog b = sys.mac_backlog();
+  for (const std::size_t v : {b.sr_pending, b.cg_armed, b.retx_ues, b.retx_tbs}) d.add(v);
+  d.add(sys.metrics().to_json());
+  for (const TraceSpan& s : sys.tracer().spans()) {
+    d.add(s.name);
+    d.add(static_cast<std::uint64_t>(s.category));
+    d.add(static_cast<std::uint64_t>(s.seq));
+    d.add(s.start);
+    d.add(s.end);
+  }
+
+  cov.harq_drops += sys.harq_dropped_tbs();
+  cov.missed_grants += sys.metrics().counter("mac.missed_grants").value();
+  cov.radio_misses += sys.radio_deadline_misses();
+  cov.punctured += sys.punctured_retx();
+  cov.xlink += sys.crosslink_ul_losses();
+  cov.hidden_collisions += l.hidden_collisions;
+  cov.deferred += l.deferred;
+  cov.storms += f.storm_spikes;
+  cov.stalls += f.bus_stalls;
+  cov.bursts += f.burst_losses;
+  cov.upf_drops += f.upf_drops;
+  cov.upf_delays += f.upf_delays;
+  return d.value();
+}
+
+const PinCase kPinCases[] = {
+    {"grant-based, i.i.d. loss, HARQ 1",
+     [](std::uint64_t s) { return pin_iid(StackConfig::testbed_grant_based(s), 1); }, 0.0, false,
+     {0xc4fb8942a3448a21ULL, 0xee2e8fffa085f4c1ULL}},
+    {"grant-based, i.i.d. loss, HARQ 2",
+     [](std::uint64_t s) { return pin_iid(StackConfig::testbed_grant_based(s), 2); }, 0.0, false,
+     {0x648f18319c8aab97ULL, 0xebe5c36d7de0814bULL}},
+    {"grant-free, i.i.d. loss, HARQ 4",
+     [](std::uint64_t s) { return pin_iid(StackConfig::testbed_grant_free(s), 4); }, 0.0, false,
+     {0xb596daf4708193e6ULL, 0x9a075816925c53a2ULL}},
+    {"grant-free, LBT with hidden collisions",
+     [](std::uint64_t s) {
+       StackConfig c = StackConfig::testbed_grant_free(s);
+       c.num_ues = 2;
+       c.lbt.enabled = true;
+       c.lbt.wifi_busy_mean = Nanos{150'000};
+       c.lbt.wifi_idle_mean = Nanos{300'000};
+       c.lbt.hidden_collision_loss = 0.5;
+       return c;
+     },
+     0.0, false, {0xf31d1a396bdb5f16ULL, 0x1c75efbb54f28dedULL}},
+    {"grant-based, dynamic TDD, preemption, cross-link",
+     [](std::uint64_t s) {
+       StackConfig c = StackConfig::testbed_grant_based(s);
+       c.num_ues = 3;
+       c.payload_bytes = 236;
+       c.channel_loss = 0.05;
+       c.dynamic_tdd.enabled = true;
+       c.dynamic_tdd.preemption = true;
+       c.dynamic_tdd.hold_slots = 16;
+       c.dynamic_tdd.xlink_ul_bler = 0.4;
+       return c;
+     },
+     0.6, true, {0x2d357258ade3309dULL, 0x9cb4dba0f80e2b7ULL}},
+    {"grant-based, storm + bus stall + UPF outage + burst loss",
+     [](std::uint64_t s) {
+       StackConfig c = StackConfig::testbed_grant_based(s);
+       c.harq_max_tx = 2;
+       c.faults = {
+           FaultScenario::burst_loss(GilbertElliott::Params::matched_average(0.15, 6.0, 0.8)),
+           FaultScenario::os_jitter_storm(FaultWindow::periodic(2_ms, 3_ms, 10_ms)),
+           FaultScenario::radio_bus_stall(FaultWindow::periodic(5_ms, 2_ms, 10_ms),
+                                          Nanos{400'000}),
+           FaultScenario::upf_outage(FaultWindow::periodic(8_ms, 2_ms, 20_ms), 0.3,
+                                     Nanos{50'000})};
+       return c;
+     },
+     0.0, false, {0x664d59d7314d93b8ULL, 0x391829776d89d032ULL}},
+    {"grant-free, blockage",
+     [](std::uint64_t s) {
+       StackConfig c = StackConfig::testbed_grant_free(s);
+       c.harq_max_tx = 3;
+       c.blockage = MmWaveBlockage::Params{20_ms, 8_ms, 0.9};
+       return c;
+     },
+     0.0, false, {0xe78bca001ec454c3ULL, 0x8a0ed8eca27824a8ULL}},
+    {"grant-based, 4 UEs, i.i.d. loss, tight radio lead",
+     [](std::uint64_t s) {
+       StackConfig c = pin_iid(StackConfig::testbed_grant_based(s), 2);
+       c.num_ues = 4;
+       c.sched.radio_lead = Nanos{360'000};
+       return c;
+     },
+     0.0, false, {0x7c4b21f740504c12ULL, 0xb299f11077166bd5ULL}},
+};
+
+TEST(E2ePinTest, FeatureMatrixDigestsArePinned) {
+  PinCoverage cov;
+  for (const PinCase& pc : kPinCases) {
+    for (std::size_t i = 0; i < kPinSeeds.size(); ++i) {
+      const std::uint64_t got = pin_run(pc, kPinSeeds[i], cov);
+      EXPECT_EQ(got, pc.digest[i]) << pc.name << ", seed " << kPinSeeds[i] << ": got 0x"
+                                   << std::hex << got;
+    }
+  }
+  // The pin is only as strong as the mechanisms the matrix reaches.
+  EXPECT_GT(cov.harq_drops, 0u);
+  EXPECT_GT(cov.retransmitted, 0u);
+  EXPECT_GT(cov.missed_grants, 0u);
+  EXPECT_GT(cov.radio_misses, 0u);
+  EXPECT_GT(cov.punctured, 0u);
+  EXPECT_GT(cov.xlink, 0u);
+  EXPECT_GT(cov.hidden_collisions, 0u);
+  EXPECT_GT(cov.deferred, 0u);
+  EXPECT_GT(cov.storms, 0u);
+  EXPECT_GT(cov.stalls, 0u);
+  EXPECT_GT(cov.bursts, 0u);
+  EXPECT_GT(cov.upf_drops, 0u);
+  EXPECT_GT(cov.upf_delays, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -263,21 +265,31 @@ TEST(FaultE2eTest, UpfOutageDropsAreAccounted) {
 
 namespace {
 
-/// A duplex whose UL capability ends after `last_ul_slot`: the starved
-/// scheduler scenario in which a lost TB has no retransmission opportunity.
-class UlEraDuplex final : public DuplexConfig {
+/// A duplex with one direction blacked out over slots [first, last]: the
+/// starved-scheduler scenarios in which the planner finds no opportunity
+/// inside its search horizon.
+class BlackoutDuplex final : public DuplexConfig {
  public:
-  UlEraDuplex(TddCommonConfig inner, SlotIndex last_ul_slot)
-      : DuplexConfig(inner.numerology()), inner_(std::move(inner)), last_(last_ul_slot) {}
-  [[nodiscard]] std::uint16_t dl_mask(SlotIndex s) const override { return inner_.dl_mask(s); }
+  BlackoutDuplex(TddCommonConfig inner, Direction dir, SlotIndex first,
+                 SlotIndex last = std::numeric_limits<SlotIndex>::max())
+      : DuplexConfig(inner.numerology()), inner_(std::move(inner)), dir_(dir), first_(first),
+        last_(last) {}
+  [[nodiscard]] std::uint16_t dl_mask(SlotIndex s) const override {
+    return dark(Direction::Downlink, s) ? std::uint16_t{0} : inner_.dl_mask(s);
+  }
   [[nodiscard]] std::uint16_t ul_mask(SlotIndex s) const override {
-    return s <= last_ ? inner_.ul_mask(s) : std::uint16_t{0};
+    return dark(Direction::Uplink, s) ? std::uint16_t{0} : inner_.ul_mask(s);
   }
   [[nodiscard]] int period_slots() const override { return inner_.period_slots(); }
-  [[nodiscard]] std::string name() const override { return "ul-era"; }
+  [[nodiscard]] std::string name() const override { return "blackout"; }
 
  private:
+  [[nodiscard]] bool dark(Direction d, SlotIndex s) const {
+    return d == dir_ && s >= first_ && s <= last_;
+  }
   TddCommonConfig inner_;
+  Direction dir_;
+  SlotIndex first_;
   SlotIndex last_;
 };
 
@@ -290,7 +302,9 @@ TEST(FaultRegressionTest, StrandedUlRetransmissionIsCountedNotLeaked) {
   // forever — uncounted, silently inflating reliability. Now it must be
   // re-armed up to the cap and then dropped as `stranded`.
   StackConfig cfg = StackConfig::testbed_grant_based(21);
-  cfg.duplex = std::make_shared<UlEraDuplex>(TddCommonConfig::dddu(kMu1), /*last_ul_slot=*/11);
+  // The UL era ends after slot 11.
+  cfg.duplex =
+      std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Uplink, 12);
   cfg.harq_max_tx = 8;  // budget never exhausts inside the era
   cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
                                           FaultWindow::once(Nanos::zero(), 6_ms))};
@@ -303,6 +317,45 @@ TEST(FaultRegressionTest, StrandedUlRetransmissionIsCountedNotLeaked) {
   EXPECT_EQ(sys.harq_dropped_tbs(), 0u);
   EXPECT_FALSE(sys.records()[0].ok);
   expect_loss_identity(sys, 1);
+}
+
+TEST(FaultRegressionTest, UlGapLongerThanPlannerHorizonDoesNotLatchSr) {
+  // A burst arrives just before a 100 ms UL blackout (slots 40-239 at µ1),
+  // longer than the planner's 40 ms search horizon. The follow-up grant
+  // after the first TB finds no opportunity; the SR latch must then be
+  // released, or every later packet on the UE (here: the one at 150 ms,
+  // after the gap) starves without landing in any loss bucket.
+  StackConfig cfg = StackConfig::testbed_grant_based(5);
+  cfg.duplex =
+      std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Uplink, 40, 239);
+  E2eSystem sys(std::move(cfg));
+  constexpr int kBurst = 12;
+  for (int i = 0; i < kBurst; ++i) sys.send_uplink_at(Nanos{17'000'000});
+  sys.send_uplink_at(150_ms);
+  sys.run_until(400_ms);
+
+  EXPECT_TRUE(sys.records()[kBurst].ok) << "the post-gap packet starved behind a latched SR";
+  EXPECT_EQ(sys.mac_backlog().sr_pending, 0u);
+  expect_loss_identity(sys, kBurst + 1);
+}
+
+TEST(FaultRegressionTest, StrandedDlSduIsDiscardedNotDeliveredLater) {
+  // A DL packet arrives just before a 100 ms DL blackout (slots 20-219 at
+  // µ1): past the retry cap it is counted as stranded. Its SDU must leave
+  // the RLC queue then — before the fix the next packet's service call
+  // delivered it after all, so it was counted twice (delivered + stranded).
+  StackConfig cfg = StackConfig::testbed_grant_based(3);
+  cfg.duplex =
+      std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Downlink, 20, 219);
+  E2eSystem sys(std::move(cfg));
+  sys.send_downlink_at(12_ms);
+  sys.send_downlink_at(130_ms);
+  sys.run_until(400_ms);
+
+  EXPECT_FALSE(sys.records()[0].ok);
+  EXPECT_TRUE(sys.records()[1].ok);
+  EXPECT_EQ(sys.stranded_drops(), 1u);
+  expect_loss_identity(sys, 2);
 }
 
 TEST(FaultRegressionTest, ReLostTbKeepsOldestFirstRecoveryOrder) {
@@ -388,6 +441,54 @@ TEST(FaultAccountingTest, BurstLossScenarioUnderLoss) {
 // ===========================================================================
 // Metrics mirror + sharded determinism with faults enabled
 
+namespace {
+
+/// Every counter E2eSystem publishes, each checked against the accessor or
+/// per-packet tally it is read from. The two dynamic-TDD counters exist
+/// only when the policy is enabled. Packets count as sent once their
+/// injection time has passed. Returns the counter values by name.
+std::map<std::string, std::uint64_t> expect_counters_match_tallies(const E2eSystem& sys,
+                                                                   bool dynamic_tdd) {
+  std::map<std::string, std::uint64_t> v;
+  for (const auto& [name, c] : sys.metrics().counters()) v[name] = c.value();
+  std::uint64_t ul = 0, dl = 0, retx = 0;
+  for (const PacketRecord& r : sys.records()) {
+    if (r.created > sys.simulator().now()) continue;
+    (r.dir == Direction::Uplink ? ul : dl) += 1;
+    if (r.ok) retx += static_cast<std::uint64_t>(r.harq_transmissions - 1);
+  }
+  const FaultInjector::Counters fc = sys.fault_counters();
+  const std::map<std::string, std::uint64_t> want = {
+      {"packets.ul_sent", ul},
+      {"packets.dl_sent", dl},
+      {"packets.delivered", sys.packets_delivered()},
+      {"packets.harq_retransmissions", retx},
+      {"harq.dropped_tbs", sys.harq_dropped_tbs()},
+      {"harq.stranded_drops", sys.stranded_drops()},
+      {"radio.deadline_misses", sys.radio_deadline_misses()},
+      {"mac.missed_grants", sys.missed_grants()},
+      {"fault.burst_losses", fc.burst_losses},
+      {"fault.os_jitter_storms", fc.storm_spikes},
+      {"fault.radio_bus_stalls", fc.bus_stalls},
+      {"fault.upf_drops", fc.upf_drops},
+      {"fault.upf_delays", fc.upf_delays}};
+  for (const auto& [name, value] : want) {
+    EXPECT_EQ(v.count(name), 1u) << name;
+    EXPECT_EQ(v[name], value) << name;
+  }
+  EXPECT_EQ(v["packets.ul_sent"] + v["packets.dl_sent"], sys.packets_started());
+  if (dynamic_tdd) {
+    EXPECT_EQ(v.at("harq.punctured_retx"), sys.punctured_retx());
+    EXPECT_EQ(v.at("xlink.ul_losses"), sys.crosslink_ul_losses());
+  } else {
+    EXPECT_EQ(v.count("harq.punctured_retx"), 0u);
+    EXPECT_EQ(v.count("xlink.ul_losses"), 0u);
+  }
+  return v;
+}
+
+}  // namespace
+
 TEST(FaultMetricsTest, FaultCountersMirrorIntoRegistry) {
   StackConfig cfg = StackConfig::testbed_grant_free(41);
   cfg.trace.enabled = true;
@@ -404,11 +505,62 @@ TEST(FaultMetricsTest, FaultCountersMirrorIntoRegistry) {
   EXPECT_GT(fc.burst_losses, 0u);
   EXPECT_GT(fc.storm_spikes, 0u);
   EXPECT_GT(fc.bus_stalls, 0u);
-  EXPECT_EQ(sys.metrics().counter("fault.burst_losses").value(), fc.burst_losses);
-  EXPECT_EQ(sys.metrics().counter("fault.os_jitter_storms").value(), fc.storm_spikes);
-  EXPECT_EQ(sys.metrics().counter("fault.radio_bus_stalls").value(), fc.bus_stalls);
-  EXPECT_EQ(sys.metrics().counter("harq.dropped_tbs").value(), sys.harq_dropped_tbs());
-  EXPECT_EQ(sys.metrics().counter("harq.stranded_drops").value(), sys.stranded_drops());
+  expect_counters_match_tallies(sys, /*dynamic_tdd=*/false);
+
+  // Grant-based UL under OS-jitter storms (late DCI decodes: missed grants),
+  // burst loss (HARQ retransmissions and drops), a tight radio lead (DL
+  // deadline misses), UPF outages, and dynamic TDD with preemption and
+  // cross-link loss — every published counter moves.
+  cfg = StackConfig::testbed_grant_based(43);
+  cfg.trace.enabled = true;
+  cfg.num_ues = 3;
+  cfg.payload_bytes = 236;
+  cfg.harq_max_tx = 2;
+  cfg.sched.radio_lead = Nanos{360'000};
+  cfg.dynamic_tdd.enabled = true;
+  cfg.dynamic_tdd.preemption = true;
+  cfg.dynamic_tdd.hold_slots = 16;
+  cfg.dynamic_tdd.xlink_ul_bler = 0.4;
+  cfg.faults = {
+      FaultScenario::burst_loss(GilbertElliott::Params::matched_average(0.15, 6.0, 0.8)),
+      FaultScenario::os_jitter_storm(FaultWindow::periodic(2_ms, 3_ms, 10_ms)),
+      FaultScenario::radio_bus_stall(FaultWindow::periodic(5_ms, 2_ms, 10_ms), Nanos{400'000}),
+      FaultScenario::upf_outage(FaultWindow::periodic(8_ms, 2_ms, 20_ms), 0.3, Nanos{50'000})};
+  E2eSystem dyn(std::move(cfg));
+  dyn.set_crosslink_dl_activity(0.6);
+
+  // The names are registered, at zero, before the first run_until().
+  const std::string before = dyn.metrics().to_json();
+  for (const char* name :
+       {"packets.ul_sent", "packets.dl_sent", "packets.delivered", "packets.harq_retransmissions",
+        "harq.dropped_tbs", "harq.stranded_drops", "radio.deadline_misses", "mac.missed_grants",
+        "fault.burst_losses", "fault.os_jitter_storms", "fault.radio_bus_stalls",
+        "fault.upf_drops", "fault.upf_delays", "harq.punctured_retx", "xlink.ul_losses"}) {
+    EXPECT_NE(before.find(std::string("\"") + name + "\": 0"), std::string::npos) << name;
+  }
+
+  for (int i = 0; i < 60; ++i) {
+    const Nanos base = 4_ms * i;
+    for (int u = 0; u < 3; ++u) {
+      dyn.send_uplink_at(base + 1_ms + Nanos{150'000} * u, u);
+      // UEs >= 1 carry an eMBB DL backlog: preemption victims for UE 0.
+      for (int b = 0; b < (u == 0 ? 1 : 3); ++b) {
+        dyn.send_downlink_at(base + (u == 0 ? Nanos{600'000} : Nanos{b}), u);
+      }
+    }
+  }
+  // Counters are published at every run_until(): check mid-run and at the end.
+  dyn.run_until(120_ms);
+  expect_counters_match_tallies(dyn, /*dynamic_tdd=*/true);
+  dyn.run_until(800_ms);
+  const auto v = expect_counters_match_tallies(dyn, /*dynamic_tdd=*/true);
+  for (const char* moved :
+       {"packets.harq_retransmissions", "harq.dropped_tbs", "radio.deadline_misses",
+        "mac.missed_grants", "fault.burst_losses", "fault.os_jitter_storms",
+        "fault.radio_bus_stalls", "fault.upf_drops", "fault.upf_delays", "harq.punctured_retx",
+        "xlink.ul_losses"}) {
+    EXPECT_GT(v.at(moved), 0u) << moved;
+  }
 }
 
 TEST(FaultShardedTest, MergedResultsIdenticalAcrossWorkerCountsWithFaults) {

@@ -128,6 +128,39 @@ TEST(RlcUmTest, SnAdvancesPerSdu) {
   EXPECT_EQ(p2->sn, static_cast<std::uint16_t>(p1->sn + 1));
 }
 
+TEST(RlcUmTest, DiscardHeadDropsTheSduAndAPartialHeadsSn) {
+  RlcTx tx(RlcMode::UM);
+  EXPECT_FALSE(tx.discard_head());  // nothing queued
+
+  // A whole head SDU never took an SN: the next SDU reuses it.
+  tx.enqueue(payload(10), 1_us);
+  tx.enqueue(payload(10), 2_us);
+  const auto first = tx.pull(100);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(tx.discard_head());
+  EXPECT_FALSE(tx.has_data());
+  tx.enqueue(payload(10), 3_us);
+  const auto next = tx.pull(100);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->sn, static_cast<std::uint16_t>(first->sn + 1));
+  EXPECT_EQ(next->sdu_enqueued_at, 3_us);
+
+  // A partly segmented head gives its SN up with the rest of its bytes.
+  tx.enqueue(payload(60), 4_us);
+  tx.enqueue(payload(10), 5_us);
+  const auto segment = tx.pull(20);
+  ASSERT_TRUE(segment.has_value());
+  EXPECT_EQ(tx.queued_sdus(), 2u);
+  EXPECT_TRUE(tx.discard_head());
+  EXPECT_EQ(tx.queued_sdus(), 1u);
+  EXPECT_EQ(tx.queued_bytes(), 10u);
+  const auto after = tx.pull(100);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->sn, static_cast<std::uint16_t>(segment->sn + 1));
+  EXPECT_EQ(after->sdu_enqueued_at, 5_us);
+  EXPECT_FALSE(tx.has_data());
+}
+
 // ---------------------------------------------------------------------------
 // UM: segmentation
 
