@@ -195,18 +195,28 @@ BENCHMARK(BM_NextDlData);
 
 /// One Table 1 cell per run: Arg 0 indexes table1_configs() (DU, DM, MU,
 /// MiniSlot, FDD), Arg 1 the access mode (grant-based UL, grant-free UL,
-/// DL). BM_WorstCaseSweep/1/0 is DM grant-based UL.
+/// DL), Arg 2 the model: 0 is the idealised (all-zero) model, whose
+/// completion steps all sit on symbol boundaries; 1 is a serve_zipf-like
+/// model (an odd-ns sender time, as its jitter gives), whose steps fall
+/// inside symbols. BM_WorstCaseSweep/1/0/0 is DM grant-based UL, idealised.
 void BM_WorstCaseSweep(benchmark::State& state) {
   const auto cfgs = table1_configs();
   const DuplexConfig& cfg = *cfgs[static_cast<std::size_t>(state.range(0))];
   const auto mode = static_cast<AccessMode>(state.range(1));
+  LatencyModelParams p;
+  if (state.range(2) == 1) {
+    p.sender_processing = Nanos{140'317};
+    p.receiver_processing = Nanos{60'000};
+    p.radio_tx = Nanos{30'000};
+    p.radio_rx = Nanos{20'000};
+  }
   for (auto _ : state) {
-    const auto wc = analyze_worst_case(cfg, mode, {});
+    const auto wc = analyze_worst_case(cfg, mode, p);
     benchmark::DoNotOptimize(wc);
   }
-  state.SetLabel(cfg.name() + " " + to_string(mode));
+  state.SetLabel(cfg.name() + " " + to_string(mode) + (state.range(2) == 1 ? " serve" : " zero"));
 }
-BENCHMARK(BM_WorstCaseSweep)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}});
+BENCHMARK(BM_WorstCaseSweep)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}, {0, 1}});
 
 }  // namespace
 

@@ -1,6 +1,10 @@
 #include "core/latency_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <optional>
+#include <stdexcept>
 
 namespace u5g {
 
@@ -137,6 +141,42 @@ Timeline build_timeline(const DuplexConfig& cfg, AccessMode mode, Nanos arrival,
   return infeasible(arrival);
 }
 
+/// The worst-case sweep's probes, indexed in arrival order. Each symbol of
+/// the period (laid out the way SlotClock lays them out, so probes align
+/// with true boundaries) contributes `grid + 1` probes: the boundary, the
+/// instant just after it ("just after a DL slot starts" is the paper's
+/// worst case) and `grid - 1` uniform interior points.
+struct ProbeGrid {
+  // The first interior point, floor(sym / grid), never falls before the
+  // +1 ns probe, so offsets never decrease along the sweep.
+  static_assert(kMaxGridPerSymbol <= kMu6.symbol_duration().count());
+
+  Nanos slot;
+  Nanos sym;
+  std::int64_t grid;
+  std::int64_t per_symbol = grid + 1;
+
+  [[nodiscard]] Nanos offset(std::int64_t q) const {
+    const std::int64_t m = q / per_symbol;
+    const std::int64_t j = q % per_symbol;
+    const Nanos boundary = slot * (m / kSymbolsPerSlot) + sym * (m % kSymbolsPerSlot);
+    return boundary + (j == 0 ? Nanos{0} : j == 1 ? Nanos{1} : sym * (j - 1) / grid);
+  }
+
+  /// Sum of offset(q) over the probes of the first `m` symbols, in closed
+  /// form. Within a symbol the interior points add up to
+  /// sum_{g<grid} floor(sym g / grid) = ((sym-1)(grid-1) + gcd(sym, grid) - 1) / 2.
+  [[nodiscard]] std::int64_t offset_sum(std::int64_t m) const {
+    const std::int64_t a = m / kSymbolsPerSlot;  // whole slots
+    const std::int64_t b = m % kSymbolsPerSlot;  // symbols of the last slot
+    const std::int64_t s = sym.count();
+    const std::int64_t slots = kSymbolsPerSlot * (a * (a - 1) / 2) + b * a;
+    const std::int64_t syms = a * (kSymbolsPerSlot * (kSymbolsPerSlot - 1) / 2) + b * (b - 1) / 2;
+    const std::int64_t within = 1 + ((s - 1) * (grid - 1) + std::gcd(s, grid) - 1) / 2;
+    return per_symbol * (slot.count() * slots + s * syms) + m * within;
+  }
+};
+
 }  // namespace
 
 Nanos Timeline::category_total(LatencyCategory c) const {
@@ -165,46 +205,85 @@ Timeline trace_transmission(const DuplexConfig& cfg, AccessMode mode, Nanos arri
 
 WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
                                    const LatencyModelParams& p, int grid_per_symbol) {
+  if (grid_per_symbol < 1 || grid_per_symbol > kMaxGridPerSymbol) {
+    throw std::invalid_argument{"analyze_worst_case: grid_per_symbol out of [1, " +
+                                std::to_string(kMaxGridPerSymbol) + "]"};
+  }
   WorstCaseResult r;
   const SlotClock clk = cfg.clock();
+  const ProbeGrid grid{clk.slot_duration(), clk.symbol_duration(), grid_per_symbol};
   // Anchor the sweep away from t=0 so look-behind arithmetic stays positive.
   const Nanos base = cfg.period() * 8;
-  const Nanos sym = clk.symbol_duration();
-
-  double sum = 0.0;
-  std::size_t n = 0;
-  auto probe = [&](Nanos offset) {
+  struct Probe {
+    std::int64_t index;
+    Nanos offset;
+    std::optional<Nanos> completion;  ///< nullopt when infeasible
+  };
+  auto probe = [&](std::int64_t q) {
+    const Nanos offset = grid.offset(q);
     const Timeline tl = build_timeline<false>(cfg, mode, base + offset, p);
-    if (!tl.feasible) {
-      r.feasible = false;
-      return;
-    }
-    const Nanos lat = tl.latency();
-    if (lat > r.worst) {
-      r.worst = lat;
-      r.worst_arrival_offset = offset;
-    }
-    r.best = std::min(r.best, lat);
-    sum += static_cast<double>(lat.count());
-    ++n;
+    return Probe{q, offset, tl.feasible ? std::optional<Nanos>{tl.completion} : std::nullopt};
   };
 
-  // Probe every symbol boundary of every slot in the period (computed the
-  // same way SlotClock lays them out, so probes align with true boundaries),
-  // the instant just after each ("just after a DL slot starts" is the
-  // paper's worst case), and a uniform grid between boundaries.
-  for (int slot = 0; slot < cfg.period_slots() && r.feasible; ++slot) {
-    const Nanos slot_off = clk.slot_duration() * slot;
-    for (int s = 0; s < kSymbolsPerSlot && r.feasible; ++s) {
-      const Nanos boundary = slot_off + sym * s;
-      probe(boundary);
-      probe(boundary + Nanos{1});
-      for (int g = 1; g < grid_per_symbol; ++g) {
-        probe(boundary + sym * g / grid_per_symbol);
-      }
+  // Walk the probes in order, one constant segment [head, lo] at a time. An
+  // infeasible probe is counted out on its own and ends the sweep after the
+  // rest of its symbol's probes.
+  std::int64_t end = grid.per_symbol * cfg.period_slots() * kSymbolsPerSlot;
+  std::int64_t n = 0;
+  std::int64_t sum = 0;  // sum of (completion - base) over counted probes
+  std::int64_t infeasible_offsets = 0;
+  std::int64_t guess = 1;  // the previous segment's length
+  Probe head = probe(0);
+  while (head.index < end) {
+    if (!head.completion) {
+      if (r.feasible) end = (head.index / grid.per_symbol + 1) * grid.per_symbol;
+      r.feasible = false;
+      infeasible_offsets += head.offset.count();
+      if (head.index + 1 == end) break;
+      head = probe(head.index + 1);
+      continue;
     }
+    // Find the segment's last probe lo: try the previous segment's length
+    // (capped at the probes left), then gallop and bisect. `next` is the
+    // first probe known to differ (index `end` until one is found).
+    const Nanos f = *head.completion;
+    Probe lo = head;
+    Probe next{end, Nanos::zero(), std::nullopt};
+    auto same = [&](std::int64_t x) {
+      const Probe at = probe(x);
+      if (at.completion != f) {
+        next = at;
+        return false;
+      }
+      lo = at;
+      return true;
+    };
+    if (guess > 1 && next.index - head.index > 1) {
+      same(std::min(head.index + guess, next.index) - 1);
+    }
+    for (std::int64_t step = 1; lo.index + step < next.index && same(lo.index + step);
+         step *= 2) {
+    }
+    while (next.index - lo.index > 1) same(lo.index + (next.index - lo.index) / 2);
+
+    // Latency f - base - offset falls along the segment: its first probe is
+    // the worst (and first in sweep order), its last the best.
+    if (f - base - head.offset > r.worst) {
+      r.worst = f - base - head.offset;
+      r.worst_arrival_offset = head.offset;
+    }
+    r.best = std::min(r.best, f - base - lo.offset);
+    guess = lo.index - head.index + 1;
+    sum += guess * (f - base).count();
+    n += guess;
+    head = next;
   }
-  if (n > 0) r.mean = Nanos{static_cast<std::int64_t>(sum / static_cast<double>(n))};
+  // Every latency is a whole number of ns, so while the total stays below
+  // 2^53 ns (~104 days) this mean is bit-identical to accumulating the
+  // probes one by one in a double.
+  sum -= grid.offset_sum(end / grid.per_symbol) - infeasible_offsets;
+  if (n > 0) r.mean = Nanos{static_cast<std::int64_t>(static_cast<double>(sum) /
+                                                      static_cast<double>(n))};
   if (r.best == Nanos::max()) r.best = Nanos::zero();
   return r;
 }

@@ -93,12 +93,22 @@ struct WorstCaseResult {
   bool feasible = true;
 };
 
+/// Finest accepted worst-case grid: at most one interior probe per ns of
+/// the shortest symbol (µ6), so probe offsets never decrease along the sweep.
+inline constexpr int kMaxGridPerSymbol = 1000;
+
 /// Sweeps arrivals over one full period: every symbol boundary, the instant
 /// just after it (+1 ns, the paper's "just after a DL slot starts" worst
-/// case), and `grid_per_symbol` interior points. Each probe runs the same
-/// per-mode timeline builder as `trace_transmission`, with step recording
-/// off, so it matches `trace_transmission` probe for probe and the sweep
-/// performs no heap allocation.
+/// case), and `grid_per_symbol - 1` interior points, taken in arrival order.
+/// The result is exactly that of running `trace_transmission` on every
+/// probe, but the timeline is built only at the edges of constant segments:
+/// every step of every mode is "first opportunity at or after t + d", so
+/// the completion is a non-decreasing step function of the arrival, and a
+/// run of probes with equal completion is accounted in O(1) (worst from its
+/// first probe, best from its last, the sum in closed form). The timelines
+/// run with step recording off, so the sweep performs no heap allocation.
+/// Throws std::invalid_argument unless 1 <= grid_per_symbol <=
+/// kMaxGridPerSymbol.
 [[nodiscard]] WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
                                                  const LatencyModelParams& p = {},
                                                  int grid_per_symbol = 4);

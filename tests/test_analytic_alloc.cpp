@@ -10,10 +10,12 @@
 #include <memory>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "core/feasibility.hpp"
 #include "core/latency_model.hpp"
 #include "serve/feasibility_service.hpp"
+#include "tdd/common_config.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting global allocator (same shape as tests/test_trace.cpp's).
@@ -51,14 +53,18 @@ TEST(AnalyticAllocTest, WorstCaseSweepDoesNotAllocate) {
   slow.radio_rx = 15_us;
   slow.grant_decode = 25_us;
   slow.sr_decode = 12_us;
-  for (const auto& cfg : table1_configs()) {
+  std::vector<std::unique_ptr<DuplexConfig>> cfgs = table1_configs();
+  cfgs.push_back(std::make_unique<TddCommonConfig>(TddCommonConfig::dddu(kMu1)));
+  for (const auto& cfg : cfgs) {
     for (AccessMode mode : kAllModes) {
       for (const LatencyModelParams& p : {LatencyModelParams{}, slow}) {
-        const std::size_t before = g_allocs.load();
-        const WorstCaseResult wc = analyze_worst_case(*cfg, mode, p);
-        const std::size_t during = g_allocs.load() - before;
-        EXPECT_TRUE(wc.feasible);
-        EXPECT_EQ(0u, during) << cfg->name() << " " << to_string(mode);
+        for (int grid : {1, 4, 7}) {
+          const std::size_t before = g_allocs.load();
+          const WorstCaseResult wc = analyze_worst_case(*cfg, mode, p, grid);
+          const std::size_t during = g_allocs.load() - before;
+          EXPECT_TRUE(wc.feasible);
+          EXPECT_EQ(0u, during) << cfg->name() << " " << to_string(mode) << " grid=" << grid;
+        }
       }
     }
   }

@@ -6,8 +6,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/latency_model.hpp"
 #include "tdd/common_config.hpp"
 #include "tdd/dynamic_format.hpp"
@@ -391,6 +395,71 @@ std::vector<LatencyModelParams> model_variants() {
   return out;
 }
 
+/// An overlay with committed upgrades across and beyond the swept periods:
+/// extra UL symbols at the end of some slots, extra DL at the start of
+/// others, uncommitted slots falling back to the DM base.
+std::unique_ptr<DynamicDuplexConfig> dynamic_overlay() {
+  auto base = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
+  auto dyn = std::make_unique<DynamicDuplexConfig>(base);
+  const SlotIndex slots = static_cast<SlotIndex>(base->period_slots()) * 10;
+  for (SlotIndex k = 0; k < slots; ++k) {
+    DecidedFormat f;
+    if (k % 3 == 1) f.added_ul = 0x3000;  // symbols 12-13
+    if (k % 5 == 2) f.added_dl = 0x0003;  // symbols 0-1
+    dyn->commit(k, f);
+  }
+  return dyn;
+}
+
+/// No UL symbol at all (the all-DL base), except in the last two symbols
+/// of the slot the sweep starts in: early UL probes succeed, then the sweep
+/// hits an infeasible probe and stops with partial fields.
+std::unique_ptr<DynamicDuplexConfig> late_ul_config() {
+  auto all_dl = std::make_shared<SlotFormatConfig>(kMu2, std::vector<int>{0});
+  auto late_ul = std::make_unique<DynamicDuplexConfig>(all_dl);
+  const SlotIndex swept = static_cast<SlotIndex>(all_dl->period_slots()) * 8;
+  for (SlotIndex k = 0; k <= swept; ++k) {
+    DecidedFormat f;
+    if (k == swept) f.added_ul = 0x3000;  // symbols 12-13
+    late_ul->commit(k, f);
+  }
+  return late_ul;
+}
+
+/// An all-DL base with one UL symbol (6) in the slot the sweep starts in and
+/// one (12) exactly one 40 ms search limit later. One-symbol UL arrivals
+/// up to symbol 6 fit in the swept slot; later ones up to symbol 12 find no
+/// UL within the search limit; still later ones reach the far symbol again.
+/// The sweep must stop after the first infeasible symbol regardless.
+std::unique_ptr<DynamicDuplexConfig> gapped_ul_config() {
+  auto all_dl = std::make_shared<SlotFormatConfig>(kMu2, std::vector<int>{0});
+  auto gapped = std::make_unique<DynamicDuplexConfig>(all_dl);
+  const SlotIndex swept = static_cast<SlotIndex>(all_dl->period_slots()) * 8;
+  const SlotIndex far = swept + Nanos{40'000'000} / all_dl->numerology().slot_duration();
+  DecidedFormat near_ul;
+  near_ul.added_ul = 0x0040;  // symbol 6
+  gapped->commit(swept, near_ul);
+  DecidedFormat far_ul;
+  far_ul.added_ul = 0x1000;  // symbol 12
+  gapped->commit(far, far_ul);
+  return gapped;
+}
+
+/// The multi-slot periods beside Table 1: DDDU at µ1 and DM at µ3.
+std::vector<std::unique_ptr<DuplexConfig>> multi_slot_configs() {
+  std::vector<std::unique_ptr<DuplexConfig>> out;
+  out.push_back(std::make_unique<TddCommonConfig>(TddCommonConfig::dddu(kMu1)));
+  out.push_back(std::make_unique<TddCommonConfig>(TddCommonConfig::dm(kMu3)));
+  return out;
+}
+
+/// Table 1 plus the multi-slot periods.
+std::vector<std::unique_ptr<DuplexConfig>> static_configs() {
+  std::vector<std::unique_ptr<DuplexConfig>> out = multi_slot_configs();
+  for (const char* name : {"DU", "DM", "MU", "MiniSlot", "FDD"}) out.push_back(make_config(name));
+  return out;
+}
+
 TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnTable1Configs) {
   const auto variants = model_variants();
   for (const char* name : {"DU", "DM", "MU", "MiniSlot", "FDD"}) {
@@ -405,34 +474,36 @@ TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnTable1Configs) {
   }
 }
 
-TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnDynamicDuplex) {
-  // An overlay with committed upgrades across and beyond the swept periods:
-  // extra UL symbols at the end of some slots, extra DL at the start of
-  // others, uncommitted slots falling back to the DM base.
-  auto base = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
-  DynamicDuplexConfig dyn(base);
-  const SlotIndex slots = static_cast<SlotIndex>(base->period_slots()) * 10;
-  for (SlotIndex k = 0; k < slots; ++k) {
-    DecidedFormat f;
-    if (k % 3 == 1) f.added_ul = 0x3000;  // symbols 12-13
-    if (k % 5 == 2) f.added_dl = 0x0003;  // symbols 0-1
-    dyn.commit(k, f);
+TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnMultiSlotPeriods) {
+  const auto variants = model_variants();
+  for (const auto& cfg : multi_slot_configs()) {
+    for (AccessMode mode : kAllModes) {
+      for (int grid : {1, 4, 7}) {
+        for (const LatencyModelParams& p : variants) {
+          expect_matches_reference(*cfg, mode, p, grid);
+        }
+      }
+    }
   }
+}
+
+TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnDynamicDuplex) {
+  const auto dyn = dynamic_overlay();
   // The overlay is visible to the sweep: the added UL symbols shorten waits.
-  EXPECT_LT(analyze_worst_case(dyn, AccessMode::GrantFreeUl).mean,
-            analyze_worst_case(*base, AccessMode::GrantFreeUl).mean);
+  EXPECT_LT(analyze_worst_case(*dyn, AccessMode::GrantFreeUl).mean,
+            analyze_worst_case(TddCommonConfig::dm(kMu2), AccessMode::GrantFreeUl).mean);
   const auto variants = model_variants();
   for (AccessMode mode : kAllModes) {
     for (int grid : {1, 4, 7}) {
       for (const LatencyModelParams& p : variants) {
-        expect_matches_reference(dyn, mode, p, grid);
+        expect_matches_reference(*dyn, mode, p, grid);
       }
     }
   }
 }
 
 TEST(WorstCaseOracleTest, MatchesRecordingReferenceWhenInfeasible) {
-  // No UL symbol at all: the sweep stops at its first probe, and the
+  // No UL symbol at all: the sweep stops after its first symbol, and the
   // partial fields it reports must match the reference too.
   const SlotFormatConfig all_dl{kMu2, {0}};
   for (AccessMode mode : {AccessMode::GrantFreeUl, AccessMode::GrantBasedUl}) {
@@ -443,21 +514,125 @@ TEST(WorstCaseOracleTest, MatchesRecordingReferenceWhenInfeasible) {
   const WorstCaseResult wc = analyze_worst_case(all_dl, AccessMode::GrantFreeUl, {});
   EXPECT_FALSE(wc.feasible);
 
-  // UL only in the last two symbols of the swept slot: early probes succeed,
-  // then the sweep hits an infeasible probe and stops with partial fields.
-  DynamicDuplexConfig late_ul(std::make_shared<SlotFormatConfig>(all_dl));
-  const SlotIndex swept = static_cast<SlotIndex>(all_dl.period_slots()) * 8;
-  for (SlotIndex k = 0; k <= swept; ++k) {
-    DecidedFormat f;
-    if (k == swept) f.added_ul = 0x3000;  // symbols 12-13
-    late_ul.commit(k, f);
-  }
-  const WorstCaseResult partial = analyze_worst_case(late_ul, AccessMode::GrantFreeUl, {});
+  const auto late_ul = late_ul_config();
+  const WorstCaseResult partial = analyze_worst_case(*late_ul, AccessMode::GrantFreeUl, {});
   EXPECT_FALSE(partial.feasible);
   EXPECT_GT(partial.worst, Nanos::zero());
   for (int grid : {1, 4, 7}) {
-    expect_matches_reference(late_ul, AccessMode::GrantFreeUl, {}, grid);
-    expect_matches_reference(late_ul, AccessMode::GrantFreeUl, model_variants().back(), grid);
+    expect_matches_reference(*late_ul, AccessMode::GrantFreeUl, {}, grid);
+    expect_matches_reference(*late_ul, AccessMode::GrantFreeUl, model_variants().back(), grid);
+  }
+  // Feasible again after the first infeasible symbol: those probes are not
+  // part of the sweep.
+  const auto gapped = gapped_ul_config();
+  LatencyModelParams one_symbol;
+  one_symbol.data_tx_symbols = 1;
+  const Nanos base = gapped->period() * 8;
+  const Nanos sym = gapped->clock().symbol_duration();
+  auto feasible_at = [&](int symbol) {
+    return trace_transmission(*gapped, AccessMode::GrantFreeUl, base + sym * symbol, one_symbol)
+        .feasible;
+  };
+  EXPECT_TRUE(feasible_at(6));
+  EXPECT_FALSE(feasible_at(7));
+  EXPECT_TRUE(feasible_at(13));
+  for (int grid : {1, 4, 7}) {
+    expect_matches_reference(*gapped, AccessMode::GrantFreeUl, one_symbol, grid);
+  }
+}
+
+TEST(WorstCaseOracleTest, MatchesRecordingReferenceOnRandomModels) {
+  // Seeded random models (odd ns everywhere, so breakpoints land anywhere
+  // inside a symbol) on single- and multi-slot periods, every grid 1-8.
+  Rng rng(0x5eed'b7ea'4b01ULL);
+  const auto cfgs = static_configs();
+  auto draw = [&](std::int64_t max_ns) {
+    return Nanos{static_cast<std::int64_t>(rng.uniform_int(static_cast<std::uint64_t>(max_ns)))};
+  };
+  for (int i = 0; i < 2000; ++i) {
+    LatencyModelParams p;
+    p.data_tx_symbols = 1 + static_cast<int>(rng.uniform_int(7));
+    p.sr_symbols = 1 + static_cast<int>(rng.uniform_int(2));
+    p.sender_processing = draw(200'000);
+    p.receiver_processing = draw(100'000);
+    p.radio_tx = draw(40'000);
+    p.radio_rx = draw(40'000);
+    p.grant_decode = draw(80'000);
+    p.sr_decode = draw(40'000);
+    const DuplexConfig& cfg = *cfgs[rng.uniform_int(cfgs.size())];
+    const AccessMode mode = kAllModes[rng.uniform_int(3)];
+    expect_matches_reference(cfg, mode, p, 1 + static_cast<int>(rng.uniform_int(8)));
+  }
+}
+
+TEST(WorstCaseOracleTest, RejectsGridOutsideTheAcceptedRange) {
+  const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
+  for (int grid : {0, -1, -4, kMaxGridPerSymbol + 1}) {
+    EXPECT_THROW((void)analyze_worst_case(dm, AccessMode::Downlink, {}, grid),
+                 std::invalid_argument)
+        << grid;
+  }
+  // The finest accepted grid at the shortest symbol (µ6) still sweeps in
+  // arrival order, so it matches the reference too.
+  const FddConfig fdd6(kMu6);
+  expect_matches_reference(fdd6, AccessMode::GrantFreeUl, model_variants().back(),
+                           kMaxGridPerSymbol);
+}
+
+// ---------------------------------------------------------------------------
+// Monotonicity: the precondition of the sweep's constant-segment skip
+
+/// The sweep's probe offsets within one period, in sweep order.
+std::vector<Nanos> probe_offsets(const DuplexConfig& cfg, int grid_per_symbol) {
+  const SlotClock clk = cfg.clock();
+  const Nanos sym = clk.symbol_duration();
+  std::vector<Nanos> out;
+  for (int slot = 0; slot < cfg.period_slots(); ++slot) {
+    for (int s = 0; s < kSymbolsPerSlot; ++s) {
+      const Nanos boundary = clk.slot_duration() * slot + sym * s;
+      out.push_back(boundary);
+      out.push_back(boundary + Nanos{1});
+      for (int g = 1; g < grid_per_symbol; ++g) out.push_back(boundary + sym * g / grid_per_symbol);
+    }
+  }
+  return out;
+}
+
+TEST(SweepMonotonicityTest, CompletionNeverDecreasesAlongTheProbeGrid) {
+  // analyze_worst_case skips the interior of any run of probes whose ends
+  // complete at the same time. That is exact only if the completion never
+  // decreases with the arrival while feasible, and if no infeasible probe
+  // sits between two feasible probes with equal completion.
+  std::vector<std::unique_ptr<DuplexConfig>> cfgs = static_configs();
+  cfgs.push_back(dynamic_overlay());
+  cfgs.push_back(late_ul_config());
+  cfgs.push_back(gapped_ul_config());
+  const auto variants = model_variants();
+  for (const auto& cfg : cfgs) {
+    const Nanos base = cfg->period() * 8;
+    const std::vector<Nanos> offsets = probe_offsets(*cfg, 7);
+    ASSERT_TRUE(std::is_sorted(offsets.begin(), offsets.end())) << cfg->name();
+    for (AccessMode mode : kAllModes) {
+      for (const LatencyModelParams& p : variants) {
+        std::optional<Nanos> last;  // completion of the last feasible probe
+        bool gap = false;           // an infeasible probe since `last`
+        for (Nanos off : offsets) {
+          const Timeline tl = trace_transmission(*cfg, mode, base + off, p);
+          if (!tl.feasible) {
+            gap = true;
+            continue;
+          }
+          if (last) {
+            EXPECT_GE(tl.completion, *last)
+                << cfg->name() << " " << to_string(mode) << " offset=" << to_string(off);
+            EXPECT_FALSE(gap && tl.completion == *last)
+                << cfg->name() << " " << to_string(mode) << " offset=" << to_string(off);
+          }
+          last = tl.completion;
+          gap = false;
+        }
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -250,6 +251,28 @@ TEST(FeasibilityServiceTest, BitIdenticalToOfflineForAllTable1Configs) {
       EXPECT_EQ(v.meets_deadline, direct_meets) << shared->name();
     }
   }
+}
+
+TEST(FeasibilityServiceTest, RejectsNonPositiveGrid) {
+  // A grid below 1 used to run the grid-1 sweep under a cache key of its
+  // own; it is now an error, and a rejected query caches nothing.
+  FeasibilityService service;
+  const auto cfg = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
+  for (int grid : {0, -1, -7}) {
+    FeasibilityQuery q = FeasibilityQuery::analytic(cfg, AccessMode::GrantFreeUl);
+    q.grid_per_symbol = grid;
+    EXPECT_THROW((void)service.query(q), std::invalid_argument) << grid;
+    EXPECT_THROW((void)service.query(q), std::invalid_argument) << grid;
+    EXPECT_THROW((void)service.worst_case(*cfg, AccessMode::Downlink, {}, grid),
+                 std::invalid_argument)
+        << grid;
+  }
+  FeasibilityQuery one = FeasibilityQuery::analytic(cfg, AccessMode::GrantFreeUl);
+  one.grid_per_symbol = 1;
+  const FeasibilityVerdict v = service.query(one);
+  EXPECT_FALSE(v.analytic_cache_hit);
+  EXPECT_TRUE(
+      same_worst_case(v.worst_case, analyze_worst_case(*cfg, AccessMode::GrantFreeUl, {}, 1)));
 }
 
 TEST(FeasibilityServiceTest, WrapperMatchesServiceColumn) {
