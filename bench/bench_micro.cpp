@@ -92,6 +92,37 @@ void BM_SimulatorPeriodicChain(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorPeriodicChain);
 
+// cell_nru's shape: ~80k arrivals injected up front in time order over 20 s
+// of simulated time, then a near-term chain (one tick per 0.5 ms slot) fired
+// through them, so every tick pays for a deep queue. Items = events fired.
+void BM_SimulatorDeepBacklog(benchmark::State& state) {
+  constexpr int kBacklog = 80'000;
+  constexpr std::int64_t kSpan = 20'000'000'000;  // 20 s
+  constexpr std::int64_t kTick = 500'000;         // 0.5 ms
+  long fired = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    long ticks = 0;
+    for (int i = 0; i < kBacklog; ++i) {
+      sim.schedule_at(Nanos{kSpan / kBacklog * i}, [&fired] { ++fired; });
+    }
+    struct Chain {
+      Simulator& sim;
+      long& ticks;
+      void operator()() const {
+        ++ticks;
+        if (sim.now() < Nanos{kSpan}) sim.schedule_after(Nanos{kTick}, Chain{sim, ticks});
+      }
+    };
+    sim.schedule_at(Nanos::zero(), Chain{sim, ticks});
+    sim.run_until();
+    fired += ticks;
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(fired);
+}
+BENCHMARK(BM_SimulatorDeepBacklog);
+
 // End-to-end wall-clock proxy: one small testbed Fig-6-style run. Tracks the
 // full-stack cost per packet, the number the parallel runner multiplies.
 void BM_E2eTestbedRun(benchmark::State& state) {

@@ -6,17 +6,15 @@
 // order so same-timestamp events run in scheduling order (deterministic
 // replay).
 //
-// Hot-path design — the kernel executes a slot as a batch, not as N
-// independent heap pops:
+// Hot-path design:
 //
-//  * Timestamp coalescing. Slot-synchronous systems schedule many events at
-//    the same instant (slot ticks, grant starts, HARQ feedback edges). The
-//    priority queue therefore holds one entry per *distinct* timestamp; the
-//    events of a timestamp live in a FIFO bucket that is drained as one
-//    batch. Scheduling into an already-pending timestamp is a hash lookup
-//    plus a vector append — no heap sift at all — and events scheduled *at*
-//    the timestamp currently being drained are appended to the live bucket
-//    and fire in the same batch, preserving (time, seq) order exactly.
+//  * One flat queue. Pending events live in a single 4-ary min-heap of
+//    (when, seq, slot) entries; scheduling is one sift-up, firing one pop
+//    and sift-down. The global sequence number breaks timestamp ties, so an
+//    event scheduled *at* the current timestamp while it is being drained
+//    sorts after everything already pending there and fires later in the
+//    same drain — (time, seq) order holds exactly, with no per-timestamp
+//    bookkeeping.
 //  * In-place firing. Event closures are built directly inside their slot
 //    (`Action::emplace` from the templated `schedule_*` overloads) and
 //    invoked from there, so the schedule/fire cycle moves zero `Action`
@@ -24,21 +22,20 @@
 //    which is what makes firing in place safe while callbacks schedule new
 //    events.
 //  * Lazy cancellation. `cancel` flips a tombstone in the slot (releasing
-//    the captured resources eagerly) and the bucket entry is discarded when
+//    the captured resources eagerly) and the heap entry is discarded when
 //    it surfaces.
 //
 // Steady-state schedule/cancel/fire performs zero heap allocations once the
-// buckets, map, heap, and slot chunks have reached their high-water sizes.
+// heap and the slot chunks have reached their high-water sizes.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/time.hpp"
 #include "sim/action.hpp"
 
@@ -96,7 +93,7 @@ class Simulator {
 
   /// Cancel a pending event. Returns true if the event had not yet fired or
   /// been cancelled. Safe on default-constructed handles. O(1): tombstones
-  /// the slot; the bucket entry is skipped when it surfaces.
+  /// the slot; the heap entry is skipped when it surfaces.
   bool cancel(EventHandle h) {
     if (!h.valid() || h.slot_ >= slot_count_) return false;
     Slot& s = slot(h.slot_);
@@ -110,56 +107,33 @@ class Simulator {
   /// Run until the event queue drains or `until` is reached (whichever first).
   /// If `until` bounds the run, the clock is advanced to exactly `until`.
   void run_until(Nanos until = Nanos::max()) {
-    for (;;) {
-      if (draining_ == kNoBucket) {
-        if (heap_.empty() || heap_.top().when > until) break;
-        draining_ = heap_.top().bucket;
-        heap_.pop();
-      } else if (buckets_[draining_].when > until) {
-        break;  // half-drained bucket left by step(); out of this run's range
-      }
-      while (fire_next_in(draining_)) {
-      }
-      finish_bucket(draining_);
-      draining_ = kNoBucket;
-    }
+    while (!heap_.empty() && heap_.front().when <= until) pop_and_fire();
     if (until != Nanos::max() && now_ < until) now_ = until;
   }
 
   /// Fire exactly one live event; returns false if none remain.
   bool step() {
-    for (;;) {
-      if (draining_ == kNoBucket) {
-        if (heap_.empty()) return false;
-        draining_ = heap_.top().bucket;
-        heap_.pop();
-      }
-      // A bucket left partially drained here is resumed before any other:
-      // it holds the earliest timestamp (== now(), so nothing can be
-      // scheduled before it), and new arrivals at that same timestamp keep
-      // appending to it until it is finished.
-      if (fire_next_in(draining_)) return true;
-      finish_bucket(draining_);
-      draining_ = kNoBucket;
+    while (!heap_.empty()) {
+      if (pop_and_fire()) return true;
     }
+    return false;
   }
 
   [[nodiscard]] std::size_t pending_events() const { return live_; }
   [[nodiscard]] bool idle() const { return live_ == 0; }
-  /// Timestamp of the earliest pending bucket, or Nanos::max() when the
-  /// queue is empty. Conservative: a bucket holding only tombstoned events
-  /// still reports its time, so callers using this as a lookahead bound may
+  /// Timestamp of the earliest pending entry, or Nanos::max() when the
+  /// queue is empty. Conservative: a tombstoned entry still reports its
+  /// time until it surfaces, so callers using this as a lookahead bound may
   /// under-estimate the true next firing but never over-estimate it.
   [[nodiscard]] Nanos next_event_time() const {
-    if (draining_ != kNoBucket) return buckets_[draining_].when;
-    return heap_.empty() ? Nanos::max() : heap_.top().when;
+    return heap_.empty() ? Nanos::max() : heap_.front().when;
   }
   /// Events fired over the simulator's lifetime — an always-on kernel stat
   /// benches export into the metrics registry.
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
-  /// Timestamp buckets drained over the lifetime. events_fired() divided by
-  /// this is the average coalescing factor: how many same-timestamp events
-  /// each batch executed per priority-queue pop.
+  /// Batches drained over the lifetime: maximal runs of consecutively popped
+  /// heap entries with equal `when`, tombstones included. events_fired()
+  /// divided by this is the average number of events per distinct instant.
   [[nodiscard]] std::uint64_t batches_drained() const { return batches_; }
 
  private:
@@ -170,16 +144,8 @@ class Simulator {
   };
   struct HeapEntry {
     Nanos when;
-    std::uint32_t bucket;
-  };
-  struct LaterTime {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const { return a.when > b.when; }
-  };
-  /// All events pending at one timestamp, in scheduling (seq) order.
-  struct Bucket {
-    Nanos when{};
-    std::uint32_t head = 0;  ///< next entry to fire
-    std::vector<std::uint32_t> evs;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
   struct SlotRef {
     Slot* s;
@@ -189,11 +155,11 @@ class Simulator {
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
+  static constexpr std::size_t kArity = 4;
 
   [[nodiscard]] Slot& slot(std::uint32_t i) { return chunks_[i >> kChunkShift][i & kChunkMask]; }
 
-  /// Allocate a slot and a bucket entry for `when`; the caller fills the
+  /// Allocate a slot and a heap entry for `when`; the caller fills the
   /// action in place. Slots come from fixed chunks so the returned pointer
   /// stays valid even if callbacks grow the kernel's containers.
   SlotRef prepare(Nanos when) {
@@ -210,68 +176,74 @@ class Simulator {
     Slot& s = slot(idx);
     s.seq = seq;
     s.cancelled = false;
-    enqueue(when, idx);
+    push(HeapEntry{when, seq, idx});
     ++live_;
     return {&s, idx};
   }
 
-  /// Append the slot to `when`'s bucket, activating the bucket (one heap
-  /// push) only for the first event at a given pending timestamp.
-  void enqueue(Nanos when, std::uint32_t slot_idx) {
-    std::uint32_t bi;
-    if (std::uint32_t* found = time_map_.find(when.count()); found != nullptr) {
-      bi = *found;
-    } else {
-      if (bucket_free_.empty()) {
-        bi = static_cast<std::uint32_t>(buckets_.size());
-        buckets_.emplace_back();
-      } else {
-        bi = bucket_free_.back();
-        bucket_free_.pop_back();
-      }
-      buckets_[bi].when = when;
-      time_map_[when.count()] = bi;
-      heap_.push(HeapEntry{when, bi});
-    }
-    buckets_[bi].evs.push_back(slot_idx);
+  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
   }
 
-  /// Fire the next live event of bucket `b`; returns false when the bucket
-  /// is exhausted (trailing tombstones included). The action runs inside its
-  /// slot — chunks never move, and the slot is recycled only after it
-  /// returns, so callbacks may freely schedule and cancel.
-  bool fire_next_in(std::uint32_t b) {
+  void push(HeapEntry e) {
+    std::size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+
+  /// Remove the top entry: the last entry sifts down from the root.
+  void pop_top() {
+    const HeapEntry e = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return;
+    std::size_t i = 0;
     for (;;) {
-      Bucket& bk = buckets_[b];  // re-resolve: callbacks may grow buckets_
-      if (bk.head >= bk.evs.size()) return false;
-      const std::uint32_t si = bk.evs[bk.head++];
-      Slot& s = slot(si);
-      if (s.cancelled) {
-        s.seq = 0;
-        s.cancelled = false;
-        free_.push_back(si);
-        continue;
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) break;
+      std::size_t m = first;
+      for (std::size_t c = first + 1; c < std::min(first + kArity, n); ++c) {
+        if (before(heap_[c], heap_[m])) m = c;
       }
-      s.seq = 0;  // firing now: the handle goes inert, exactly as if popped
+      if (!before(heap_[m], e)) break;
+      heap_[i] = heap_[m];
+      i = m;
+    }
+    heap_[i] = e;
+  }
+
+  /// Pop the earliest entry and fire its event unless it was cancelled;
+  /// returns whether an event fired. The entry leaves the heap before the
+  /// action runs in its slot — chunks never move, and the slot is recycled
+  /// only after the action returns, so callbacks may freely schedule and
+  /// cancel.
+  bool pop_and_fire() {
+    const HeapEntry e = heap_.front();
+    pop_top();
+    if (e.when != last_popped_) {
+      ++batches_;
+      last_popped_ = e.when;
+    }
+    Slot& s = slot(e.slot);
+    s.seq = 0;  // the handle goes inert whether the event fires or not
+    const bool live = !s.cancelled;
+    if (live) {
       --live_;
       ++fired_;
-      now_ = bk.when;
+      now_ = e.when;
       if (s.action) s.action();
       s.action.reset();
-      free_.push_back(si);
-      return true;
+    } else {
+      s.cancelled = false;
     }
-  }
-
-  /// Retire a fully drained bucket: only now does its timestamp leave the
-  /// map, so same-timestamp arrivals during the drain joined this batch.
-  void finish_bucket(std::uint32_t b) {
-    Bucket& bk = buckets_[b];
-    ++batches_;
-    time_map_.erase(bk.when.count());
-    bk.evs.clear();
-    bk.head = 0;
-    bucket_free_.push_back(b);
+    free_.push_back(e.slot);
+    return live;
   }
 
   Nanos now_ = Nanos::zero();
@@ -280,13 +252,10 @@ class Simulator {
   std::uint64_t batches_ = 0;
   std::size_t live_ = 0;
   std::uint32_t slot_count_ = 0;
-  std::uint32_t draining_ = kNoBucket;
+  Nanos last_popped_{-1};  ///< `when` of the last popped entry; scheduled times are >= 0
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint32_t> bucket_free_;
-  FlatHashMap<std::int64_t, std::uint32_t> time_map_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, LaterTime> heap_;
+  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap on (when, seq)
 };
 
 }  // namespace u5g

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -82,9 +83,13 @@ TEST(FuzzSimulator, MatchesReferenceModel) {
 
 // Naive reference kernel: a plain vector of (time, id, cancelled) scanned
 // for the minimum on every pop. Same (time, schedule-order) contract as the
-// real kernel, trivially correct, O(n) per event.
+// real kernel, trivially correct, O(n) per event. `on_fire`, when set, runs
+// after each live event is logged and may schedule more (self-rescheduling
+// chains).
 class ReferenceKernel {
  public:
+  std::function<void(int id, std::int64_t when)> on_fire;
+
   int schedule(std::int64_t when) {
     events_.push_back({when, next_id_++, false});
     return events_.back().id;
@@ -114,7 +119,7 @@ class ReferenceKernel {
       if (best == nullptr) break;
       const Ev ev = *best;
       events_.erase(events_.begin() + (best - events_.data()));
-      if (!ev.cancelled) log.emplace_back(ev.id, ev.when);
+      if (!ev.cancelled) fire(ev, log);
     }
   }
 
@@ -128,7 +133,7 @@ class ReferenceKernel {
       }
       const Ev ev = *best;
       events_.erase(events_.begin() + (best - events_.data()));
-      if (!ev.cancelled) log.emplace_back(ev.id, ev.when);
+      if (!ev.cancelled) fire(ev, log);
     }
     return log.size() != before;
   }
@@ -145,6 +150,10 @@ class ReferenceKernel {
     int id;
     bool cancelled;
   };
+  void fire(const Ev& ev, std::vector<std::pair<int, std::int64_t>>& log) {
+    log.emplace_back(ev.id, ev.when);
+    if (on_fire) on_fire(ev.id, ev.when);
+  }
   std::vector<Ev> events_;
   int next_id_ = 0;
 };
@@ -227,6 +236,97 @@ TEST(FuzzSimulatorOrdering, FiringLogIsTimeOrdered) {
     EXPECT_EQ(fire_times.size(), static_cast<std::size_t>(scheduled - cancelled));
     EXPECT_TRUE(std::is_sorted(fire_times.begin(), fire_times.end())) << "seed " << seed;
     EXPECT_TRUE(sim.idle());
+  }
+
+  // Deep backlog, the shape of a full-stack run with its arrivals injected
+  // up front: a few thousand far-future events, unsorted and with timestamp
+  // ties, keep the heap deep while near-term self-rescheduling chains,
+  // one-shots, cancels, run_until and step() calls work through it. Checked
+  // against the reference kernel on firing order and clock trace.
+  using Log = std::vector<std::pair<int, std::int64_t>>;
+  struct SimChain {  // fires, logs, and re-arms itself `left` more times
+    Simulator* sim;
+    Log* log;
+    int* next_id;
+    std::int64_t period;
+    int left;
+    int id;
+    void operator()() const {
+      log->emplace_back(id, sim->now().count());
+      if (left > 0) {
+        sim->schedule_after(Nanos{period}, SimChain{sim, log, next_id, period, left - 1,
+                                                    (*next_id)++});
+      }
+    }
+  };
+  for (std::uint64_t seed = 200; seed < 204; ++seed) {
+    Rng rng(seed);
+    Simulator sim;
+    ReferenceKernel ref;
+    Log sim_log;
+    Log ref_log;
+    int sim_next_id = 0;  // mirrors the reference kernel's id counter
+    std::map<int, std::pair<std::int64_t, int>> ref_chains;  // id -> (period, left)
+    ref.on_fire = [&ref, &ref_chains](int id, std::int64_t when) {
+      const auto it = ref_chains.find(id);
+      if (it == ref_chains.end() || it->second.second == 0) return;
+      const auto [period, left] = it->second;
+      ref_chains[ref.schedule(when + period)] = {period, left - 1};
+    };
+    std::vector<std::pair<int, EventHandle>> handles;  // (id, handle), cancellable
+    const auto one_shot = [&](std::int64_t when) {
+      const int id = ref.schedule(when);
+      ASSERT_EQ(id, sim_next_id++);
+      handles.emplace_back(id, sim.schedule_at(Nanos{when}, [&sim_log, &sim, id] {
+        sim_log.emplace_back(id, sim.now().count());
+      }));
+    };
+
+    // 3000 entries over 400 instants in [5 ms, 2 s]: a 4-ary heap of more
+    // than 341 entries is at least 6 levels deep.
+    for (int i = 0; i < 3000; ++i) {
+      one_shot(5'000'000 + static_cast<std::int64_t>(rng.uniform_int(400)) * 5'000'000);
+    }
+    ASSERT_GT(sim.pending_events(), 341u);
+
+    for (int op = 0; op < 1500; ++op) {
+      const std::int64_t now = sim.now().count();
+      const double dice = rng.uniform();
+      if (dice < 0.3) {
+        one_shot(now + static_cast<std::int64_t>(rng.uniform_int(2'000'000)));
+      } else if (dice < 0.45) {
+        const auto period = 1'000 + static_cast<std::int64_t>(rng.uniform_int(20)) * 1'000;
+        const int left = static_cast<int>(rng.uniform_int(32));
+        const std::int64_t when = now + static_cast<std::int64_t>(rng.uniform_int(100'000));
+        const int id = ref.schedule(when);
+        ASSERT_EQ(id, sim_next_id++);
+        ref_chains[id] = {period, left};
+        handles.emplace_back(
+            id, sim.schedule_at(Nanos{when},
+                                SimChain{&sim, &sim_log, &sim_next_id, period, left, id}));
+      } else if (dice < 0.65 && !handles.empty()) {
+        const std::size_t k = rng.uniform_int(handles.size());
+        EXPECT_EQ(sim.cancel(handles[k].second), ref.cancel(handles[k].first))
+            << "seed " << seed << " op " << op;
+        handles[k] = handles.back();
+        handles.pop_back();
+      } else if (dice < 0.85) {
+        const std::int64_t until = now + static_cast<std::int64_t>(rng.uniform_int(500'000));
+        sim.run_until(Nanos{until});
+        ref.run_until(until, ref_log);
+      } else {
+        EXPECT_EQ(sim.step(), ref.step(ref_log)) << "seed " << seed << " op " << op;
+      }
+      EXPECT_EQ(sim.pending_events(), ref.live()) << "seed " << seed << " op " << op;
+    }
+    sim.run_until();
+    ref.run_until(std::numeric_limits<std::int64_t>::max(), ref_log);
+    EXPECT_TRUE(sim.idle());
+    ASSERT_EQ(sim_log.size(), ref_log.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < ref_log.size(); ++i) {
+      ASSERT_EQ(sim_log[i], ref_log[i]) << "seed " << seed << " pos " << i
+                                        << ": firing order or clock trace diverged";
+    }
   }
 }
 

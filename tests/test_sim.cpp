@@ -63,11 +63,11 @@ TEST(SimulatorTest, SameTimestampFifo) {
 }
 
 TEST(SimulatorTest, CoalescedSameTimestampFiringMatchesReferenceModel) {
-  // Property test for the bucket-coalescing kernel: random workloads with
-  // heavy timestamp ties — including events that schedule children at the
-  // *same* timestamp mid-drain, which must join the live bucket in FIFO
-  // position — fire in exactly the (time, scheduling-order) sequence of a
-  // bucket-oblivious reference model.
+  // Property test for same-timestamp firing: random workloads with heavy
+  // timestamp ties — including events that schedule children at the *same*
+  // timestamp mid-drain, which take a later sequence number and so fire
+  // after everything already pending there — fire in exactly the (time,
+  // scheduling-order) sequence of a flat-list reference model.
   constexpr int kInitial = 64;
   constexpr int kTimes = 7;  // 64 events over 7 timestamps: ties everywhere
   constexpr int kSpawnBase = 10000;
@@ -134,6 +134,28 @@ TEST(SimulatorTest, CoalescedSameTimestampFiringMatchesReferenceModel) {
     sim.run_until();
     ASSERT_EQ(ref_order, order) << "trial " << trial;
   }
+}
+
+TEST(SimulatorTest, BatchesCountRunsOfEqualTimestamps) {
+  // A batch is a maximal run of consecutively popped entries with equal
+  // `when`, tombstones included: a same-timestamp child spawned mid-drain
+  // joins its parent's batch, and a cancelled event alone at its instant
+  // still counts as one.
+  Simulator sim;
+  int fired = 0;
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule_at(5_us, [&sim, &fired, i] {
+      ++fired;
+      if (i == 3) sim.schedule_at(5_us, [&fired] { ++fired; });
+    });
+  }
+  sim.cancel(sim.schedule_at(6_us, [&fired] { ++fired; }));
+  sim.schedule_at(7_us, [&fired] { ++fired; });
+  sim.schedule_at(7_us, [&fired] { ++fired; });
+  sim.run_until();
+  EXPECT_EQ(fired, 11);
+  EXPECT_EQ(sim.events_fired(), 11u);
+  EXPECT_EQ(sim.batches_drained(), 3u);
 }
 
 TEST(SimulatorTest, ScheduleAfterIsRelative) {
