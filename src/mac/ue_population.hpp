@@ -19,6 +19,15 @@
 //    packet. Poisson superposition makes the batch statistically identical
 //    to per-UE generators; the explicit per-UE mode is kept as the
 //    equivalence oracle (test_population.cpp).
+//  * Poisson arrivals are drawn then pushed, in chunks of up to 64: first
+//    the chunk's UE indices are drawn and each row (length, head, both ends
+//    of the ring) is prefetched, then the chunk is pushed in draw order. A
+//    city sweeps ~1000 populations per slot, so the rows are cold; the
+//    misses overlap the draws instead of stalling each push. The draw
+//    sequence and the pushes are exactly those of a draw-push-draw loop
+//    (pinned by AggregatePoissonTickIsPinned).
+//  * Rows are byte-wide, so the constructor rejects a `queue_capacity` or
+//    `harq_max_tx` above 255 (and meaningless knobs) rather than wrapping.
 //  * A lite grant loop services the queues: `grants_per_slot` uplink grants
 //    per slot, HARQ-retransmission UEs first, then SR UEs in round-robin
 //    word-scan order. Losses draw from the population's own RNG stream;
@@ -36,6 +45,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 
 #include "app/traffic.hpp"
 #include "common/buffer_pool.hpp"
@@ -66,20 +76,25 @@ struct PopulationConfig {
 
 class UePopulation {
  public:
+  /// Throws std::invalid_argument, when `background_ues > 0`, for a config
+  /// the byte-wide rows cannot hold (`queue_capacity` or `harq_max_tx`
+  /// outside [1, 255]) or that has no meaning (`loss` outside [0, 1],
+  /// negative `grants_per_slot`, non-positive `mean_interarrival`). A
+  /// disabled population accepts any config.
   UePopulation(const PopulationConfig& cfg, Nanos slot_duration, std::uint64_t seed)
       : cfg_(cfg), slot_(slot_duration), rng_(seed) {
     n_ = static_cast<std::size_t>(std::max(cfg.background_ues, 0));
-    cap_ = static_cast<std::size_t>(std::max(cfg.queue_capacity, 1));
+    if (n_ == 0) return;
+    validate(cfg);
+    cap_ = static_cast<std::size_t>(cfg.queue_capacity);
     words_ = (n_ + 63) / 64;
-    const double per_ue_per_slot =
-        static_cast<double>(slot_.count()) /
-        static_cast<double>(std::max<std::int64_t>(cfg.mean_interarrival.count(), 1));
+    const double per_ue_per_slot = static_cast<double>(slot_.count()) /
+                                   static_cast<double>(cfg.mean_interarrival.count());
     mean_per_slot_ = static_cast<double>(n_) * per_ue_per_slot;
     per_ue_p_ = std::min(per_ue_per_slot, 1.0);
     period_slots_ = std::max<int>(
         1, static_cast<int>((cfg.mean_interarrival.count() + slot_.count() / 2) /
                             std::max<std::int64_t>(slot_.count(), 1)));
-    if (n_ == 0) return;
     // One block, one layout: [sr words][harq words][rings][len][head][attempt].
     const std::size_t bytes = 2 * words_ * sizeof(std::uint64_t) +
                               n_ * cap_ * sizeof(std::uint32_t) + 3 * n_;
@@ -161,6 +176,29 @@ class UePopulation {
   }
 
  private:
+  /// Largest value a byte-wide row (`q_len_`, `attempt_`) can count to.
+  static constexpr int kRowMax = 255;
+  /// Arrivals drawn (and their rows prefetched) before any of them is pushed.
+  static constexpr int kArrivalChunk = 64;
+
+  static void validate(const PopulationConfig& cfg) {
+    if (cfg.queue_capacity < 1 || cfg.queue_capacity > kRowMax) {
+      throw std::invalid_argument("PopulationConfig.queue_capacity must be in [1, 255]");
+    }
+    if (cfg.harq_max_tx < 1 || cfg.harq_max_tx > kRowMax) {
+      throw std::invalid_argument("PopulationConfig.harq_max_tx must be in [1, 255]");
+    }
+    if (!(cfg.loss >= 0.0 && cfg.loss <= 1.0)) {
+      throw std::invalid_argument("PopulationConfig.loss must be in [0, 1]");
+    }
+    if (cfg.grants_per_slot < 0) {
+      throw std::invalid_argument("PopulationConfig.grants_per_slot must be >= 0");
+    }
+    if (cfg.mean_interarrival.count() <= 0) {
+      throw std::invalid_argument("PopulationConfig.mean_interarrival must be > 0");
+    }
+  }
+
   void push(std::size_t ue, std::uint64_t slot) {
     ++c_.offered;
     if (q_len_[ue] >= cap_) {
@@ -196,8 +234,26 @@ class UePopulation {
                slot);
         }
       } else {
-        const int count = poisson_count(rng_, mean_per_slot_);
-        for (int k = 0; k < count; ++k) push(rng_.uniform_int(n_), slot);
+        // Draw the chunk first, prefetching the lines push() touches
+        // (length and head bytes, both ring ends: a ring can straddle a
+        // line), then push it in draw order. push() draws nothing, so the
+        // draws and pushes are those of a draw-push-draw loop. The
+        // prefetches stay inline: GCC 12 deletes calls to a helper whose
+        // body is only prefetches.
+        std::size_t ues[kArrivalChunk];
+        for (int left = poisson_count(rng_, mean_per_slot_); left > 0;
+             left -= kArrivalChunk) {
+          const int m = std::min(left, kArrivalChunk);
+          for (int k = 0; k < m; ++k) {
+            const std::size_t ue = rng_.uniform_int(n_);
+            ues[k] = ue;
+            __builtin_prefetch(q_len_ + ue, 1);
+            __builtin_prefetch(q_head_ + ue, 0);
+            __builtin_prefetch(rings_ + ue * cap_, 1);
+            __builtin_prefetch(rings_ + ue * cap_ + cap_ - 1, 1);
+          }
+          for (int k = 0; k < m; ++k) push(ues[k], slot);
+        }
       }
       return;
     }

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,140 @@ TEST(UePopulationTest, FixedSeedRunsAreBitwiseReproducible) {
   b.export_metrics(rb);
   EXPECT_EQ(ra.to_json(), rb.to_json());
   EXPECT_NE(a.counters().delivered, 0U);
+}
+
+// Values recorded from the draw-push-draw arrival loop that preceded the
+// chunked draw-then-prefetch loop. The chunked loop must reproduce them
+// exactly: same RNG draw order, same pushes. Do not regenerate them.
+namespace {
+
+struct PinnedRun {
+  std::uint64_t offered, delivered, harq_drops, queue_drops, grants_used, queued;
+  const char* json;
+};
+
+void expect_pinned(const PopulationConfig& cfg, std::uint64_t seed, const PinnedRun& want) {
+  UePopulation pop(cfg, kSlot, seed);
+  run_slots(pop, 500);
+  const auto& c = pop.counters();
+  EXPECT_EQ(c.offered, want.offered);
+  EXPECT_EQ(c.delivered, want.delivered);
+  EXPECT_EQ(c.harq_drops, want.harq_drops);
+  EXPECT_EQ(c.queue_drops, want.queue_drops);
+  EXPECT_EQ(c.grants_used, want.grants_used);
+  EXPECT_EQ(pop.queued_packets(), want.queued);
+  MetricsRegistry reg;
+  pop.export_metrics(reg);
+  EXPECT_EQ(reg.to_json(), want.json);
+}
+
+}  // namespace
+
+TEST(UePopulationTest, AggregatePoissonTickIsPinned) {
+  // city_1m's population: ~50 arrivals per slot, the exact Poisson branch;
+  // some slots draw more than one chunk of arrivals.
+  PopulationConfig city;
+  city.background_ues = 1000;
+  city.mean_interarrival = Nanos{10'000'000};
+  city.grants_per_slot = 64;
+  city.loss = 0.05;
+  expect_pinned(city, 5,
+                {25203, 25198, 0, 0, 26570, 5, R"({
+  "counters": {
+    "population.delivered": 25198,
+    "population.grants_used": 26570,
+    "population.harq_drops": 0,
+    "population.offered": 25203,
+    "population.queue_drops": 0,
+    "population.queued": 5
+  },
+  "histograms": {
+    "population.latency_ns": {"count": 25198, "min_ns": 500000, "max_ns": 2000000, "mean_ns": 538891.976, "p50_ns": 507903, "p90_ns": 507903, "p99_ns": 1015807, "p999_ns": 1507327}
+  }
+}
+)"});
+
+  // ~1000 arrivals per slot: the normal-approximation count, many chunks per
+  // slot, full rings (queue drops) and HARQ drops.
+  PopulationConfig heavy;
+  heavy.background_ues = 4000;
+  heavy.mean_interarrival = Nanos{2'000'000};
+  heavy.grants_per_slot = 256;
+  heavy.loss = 0.1;
+  heavy.harq_max_tx = 3;
+  heavy.queue_capacity = 6;
+  expect_pinned(heavy, 13,
+                {500279, 115174, 117, 362017, 128000, 22971, R"({
+  "counters": {
+    "population.delivered": 115174,
+    "population.grants_used": 128000,
+    "population.harq_drops": 117,
+    "population.offered": 500279,
+    "population.queue_drops": 362017,
+    "population.queued": 22971
+  },
+  "histograms": {
+    "population.latency_ns": {"count": 115174, "min_ns": 500000, "max_ns": 53500000, "mean_ns": 43478619.306, "p50_ns": 50331647, "p90_ns": 52428799, "p99_ns": 53500000, "p999_ns": 53500000}
+  }
+}
+)"});
+}
+
+// -- Config validation -------------------------------------------------------
+
+TEST(UePopulationTest, RejectsConfigsItsRowsCannotHold) {
+  const auto build = [](auto&& edit) {
+    PopulationConfig cfg = lite_config(8);
+    edit(cfg);
+    UePopulation pop(cfg, kSlot, 1);
+  };
+  // q_len_ and attempt_ are byte-wide: 256 would wrap.
+  EXPECT_THROW(build([](PopulationConfig& c) { c.queue_capacity = 0; }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.queue_capacity = 256; }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.harq_max_tx = 0; }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.harq_max_tx = 300; }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.loss = -0.1; }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.loss = 1.5; }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.loss = std::nan(""); }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.grants_per_slot = -1; }), std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.mean_interarrival = Nanos{0}; }),
+               std::invalid_argument);
+  EXPECT_THROW(build([](PopulationConfig& c) { c.mean_interarrival = Nanos{-5}; }),
+               std::invalid_argument);
+
+  // The bounds themselves are accepted.
+  EXPECT_NO_THROW(build([](PopulationConfig& c) {
+    c.queue_capacity = 255;
+    c.harq_max_tx = 255;
+    c.loss = 1.0;
+    c.grants_per_slot = 0;
+    c.mean_interarrival = Nanos{1};
+  }));
+  EXPECT_NO_THROW(build([](PopulationConfig& c) {
+    c.queue_capacity = 1;
+    c.harq_max_tx = 1;
+    c.loss = 0.0;
+  }));
+
+  // At the largest ring a full queue bounces arrivals instead of wrapping.
+  PopulationConfig deep = lite_config(4);
+  deep.queue_capacity = 255;
+  deep.mean_interarrival = Nanos{50'000};  // 10 arrivals per UE-slot
+  deep.grants_per_slot = 0;
+  UePopulation pop(deep, kSlot, 3);
+  run_slots(pop, 100);
+  EXPECT_EQ(pop.queued_packets(), 4U * 255U);
+  EXPECT_EQ(pop.counters().offered, pop.counters().queue_drops + pop.queued_packets());
+
+  // A disabled population is never built from its knobs, so it accepts any.
+  PopulationConfig off;
+  off.background_ues = 0;
+  off.queue_capacity = 1000;
+  off.harq_max_tx = -3;
+  off.loss = 7.0;
+  off.grants_per_slot = -1;
+  off.mean_interarrival = Nanos{0};
+  EXPECT_NO_THROW(UePopulation(off, kSlot, 1));
 }
 
 // -- Loss accounting ---------------------------------------------------------
