@@ -72,8 +72,9 @@ void BM_SimulatorScheduleFireCancelMix(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleFireCancelMix);
 
-// Steady-state self-rescheduling chain (the PeriodicProcess pattern): the
-// queue stays tiny, so this isolates per-event overhead from heap growth.
+// Steady-state self-rescheduling chain (the pattern of E2eSystem's per-slot
+// dynamic-TDD tick): the queue stays tiny, so this isolates per-event
+// overhead from heap growth.
 void BM_SimulatorPeriodicChain(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;

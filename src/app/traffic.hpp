@@ -98,11 +98,12 @@ class PeriodicTraffic final : public TrafficSource {
 /// (exact, O(mean) uniforms); above it a moment-matched rounded normal
 /// (the error is < the Monte-Carlo noise of any run that large, and the
 /// draw stays O(1) so a 100k-UE cell costs the same as a 1k-UE cell).
-[[nodiscard]] inline int poisson_count(Rng& rng, double mean) {
+/// `limit` must be std::exp(-mean), the product method's stopping bound:
+/// a caller with a fixed mean computes it once.
+[[nodiscard]] inline int poisson_count(Rng& rng, double mean, double limit) {
   constexpr double kExactMeanCap = 64.0;
   if (mean <= 0.0) return 0;
   if (mean <= kExactMeanCap) {
-    const double limit = std::exp(-mean);
     int k = 0;
     double prod = rng.uniform();
     while (prod > limit) {

@@ -13,7 +13,6 @@
 #include "mac/bsr.hpp"
 #include "mac/mac_pdu.hpp"
 #include "mac/preemption.hpp"
-#include "mac/ue_pool.hpp"
 #include "node/pipeline.hpp"
 #include "phy/transport_block.hpp"
 #include "tdd/dynamic_format.hpp"
@@ -66,7 +65,7 @@ struct E2eSystem::Impl {
   /// gNB's chain of the same index), SR state, configured-grant schedule,
   /// and HARQ retransmission buffer.
   struct UeCtx {
-    UeCtx(int idx, const StackConfig& cfg, Rng rng, UeMacPool& pool)
+    UeCtx(int idx, const StackConfig& cfg, Rng rng)
         : index(idx),
           id(static_cast<std::uint32_t>(idx + 1)),
           stack(cfg.ue_proc, cfg.ue_radio, cfg.phy, cfg.rlc_mode, rng.fork(), 1,
@@ -80,35 +79,22 @@ struct E2eSystem::Impl {
                  ? cfg.cg.with_offset(cfg.cg.offset +
                                       cfg.duplex->numerology().symbol_duration() *
                                           (cfg.cg.tx_symbols * idx))
-                 : cfg.cg),
-          sr_pending(pool.sr_pending(static_cast<std::size_t>(idx))),
-          cg_scheduled(pool.cg_scheduled(static_cast<std::size_t>(idx))),
-          ul_reorder_armed(pool.ul_reorder_armed(static_cast<std::size_t>(idx))),
-          dl_reorder_armed(pool.dl_reorder_armed(static_cast<std::size_t>(idx))),
-          ul_trace(pool.ul_trace(static_cast<std::size_t>(idx))),
-          dl_trace(pool.dl_trace(static_cast<std::size_t>(idx))),
-          retx_depth(pool.retx_depth(static_cast<std::size_t>(idx))) {}
+                 : cfg.cg) {}
 
     int index;
     UeId id;
     NodeStack stack;
     SrProcedure sr;
     ConfiguredGrant cg;
-    // MAC-side scalar state lives in the cell's UeMacPool (struct-of-arrays);
-    // these references keep the event-driven call sites reading and writing
-    // the same lvalues they always did while batch sweeps scan the pool's
-    // contiguous rows directly.
-    bool& sr_pending;
-    bool& cg_scheduled;
-    bool& ul_reorder_armed;  ///< gNB-side t-Reordering for this UE's UL
-    bool& dl_reorder_armed;  ///< UE-side t-Reordering for DL
+    bool sr_pending = false;        ///< a grant cycle is in flight
+    bool cg_scheduled = false;      ///< a configured-grant service is queued
+    bool ul_reorder_armed = false;  ///< gNB-side t-Reordering for this UE's UL
+    bool dl_reorder_armed = false;  ///< UE-side t-Reordering for DL
     /// Tracing follows the most recently injected packet per UE and
     /// direction (-1 = none); overlapping packets on one UE attribute
     /// best-effort to the newest, the tiling invariant still holds.
-    std::int32_t& ul_trace;
-    std::int32_t& dl_trace;
-    /// Pool mirror of retx_queue.size(); every queue mutation updates it.
-    std::uint32_t& retx_depth;
+    std::int32_t ul_trace = -1;
+    std::int32_t dl_trace = -1;
 
     struct RetxTb {
       ByteBuffer tb;
@@ -141,11 +127,6 @@ struct E2eSystem::Impl {
   Simulator sim;
   Rng rng;
   NodeStack gnb;
-  /// Struct-of-arrays home of the per-UE MAC scalars; sized once in the
-  /// ctor before any UeCtx binds references into its rows.
-  UeMacPool mac_pool;
-  /// Slot-scoped scratch; epoch-reset at every run_until() barrier.
-  Arena arena;
   std::vector<std::unique_ptr<UeCtx>> ues;
   Upf upf;
   MacScheduler sched;
@@ -159,6 +140,7 @@ struct E2eSystem::Impl {
   std::uint64_t harq_dropped = 0;   ///< TBs dropped: HARQ budget exhausted
   std::uint64_t stranded_drops = 0; ///< TBs/SDUs dropped: no opportunity in cap
   std::uint64_t pdcp_discards = 0;  ///< PDUs PDCP refused: stale/duplicate/integrity
+  std::uint64_t radio_deadline_misses = 0;  ///< DL sample buffers late for their slot
 
   // -- Dynamic TDD state (all inert when cfg.dynamic_tdd.enabled is false) --
   std::optional<DynamicFormatPolicy> policy;  ///< engaged iff dynamic enabled
@@ -222,8 +204,7 @@ struct E2eSystem::Impl {
         owner(own),
         dyn(wrap_dynamic(cfg)),
         rng(cfg.seed),
-        gnb(cfg.gnb_proc, cfg.gnb_radio, cfg.phy, cfg.rlc_mode, rng.fork(),
-            std::max(cfg.num_ues, 1)),
+        gnb(cfg.gnb_proc, cfg.gnb_radio, cfg.phy, cfg.rlc_mode, rng.fork(), cfg.num_ues),
         upf(cfg.upf, rng.fork()),
         sched(*cfg.duplex, cfg.sched),
         // Fault streams derive from (seed, scenario index) via a dedicated
@@ -234,9 +215,8 @@ struct E2eSystem::Impl {
         xlink_rng(hash_mix64(cfg.seed ^ kCrosslinkSalt)) {
     const FiveQi qos = urllc_five_qi();
     gnb.compute.sdap.configure_flow(kQfi, BearerId{1}, qos);
-    mac_pool.resize(static_cast<std::size_t>(std::max(cfg.num_ues, 1)));
-    for (int i = 0; i < std::max(cfg.num_ues, 1); ++i) {
-      ues.push_back(std::make_unique<UeCtx>(i, cfg, rng.fork(), mac_pool));
+    for (int i = 0; i < cfg.num_ues; ++i) {
+      ues.push_back(std::make_unique<UeCtx>(i, cfg, rng.fork()));
       ues.back()->stack.compute.sdap.configure_flow(kQfi, BearerId{1}, qos);
       upf.bind_session(ues.back()->teid(), ues.back()->id.value());
     }
@@ -275,7 +255,7 @@ struct E2eSystem::Impl {
   [[nodiscard]] std::array<std::uint64_t, kCounterNames.size()> tallies() const {
     const FaultInjector::Counters& f = faults.counters();
     return {packets_started[0], packets_started[1], packets_delivered, harq_retx,
-            harq_dropped,       stranded_drops,     owner.radio_deadline_misses_,
+            harq_dropped,       stranded_drops,     radio_deadline_misses,
             missed_grants,      f.burst_losses,     f.storm_spikes,
             f.bus_stalls,       f.upf_drops,        f.upf_delays,
             punctured_retx,     xlink_losses};
@@ -297,11 +277,10 @@ struct E2eSystem::Impl {
   /// when it commits no upgrade.
   [[nodiscard]] TddQueueState gather_queue_state() {
     TddQueueState q;
-    q.sr_pending = static_cast<std::uint32_t>(UeMacPool::count_set(mac_pool.sr_pending_row()));
-    q.cg_armed = static_cast<std::uint32_t>(UeMacPool::count_set(mac_pool.cg_scheduled_row()));
-    mac_pool.for_each_retx(
-        [&](std::size_t, std::uint32_t depth) { q.ul_retx_tbs += depth; });
     for (const auto& ue : ues) {
+      q.sr_pending += ue->sr_pending ? 1 : 0;
+      q.cg_armed += ue->cg_scheduled ? 1 : 0;
+      q.ul_retx_tbs += static_cast<std::uint32_t>(ue->retx_queue.size());
       q.ul_queued_sdus +=
           static_cast<std::uint32_t>(ue->stack.uplink().rlc_tx.queued_sdus());
       q.dl_queued_sdus += static_cast<std::uint32_t>(
@@ -440,6 +419,22 @@ struct E2eSystem::Impl {
     ++bucket;
     tracer.abandon(tseq);
     tseq = -1;
+  }
+
+  /// The one stranded-retry rule, shared by the UL retransmission, DL
+  /// service and DL re-plan paths. The planner found no opportunity inside
+  /// its search horizon (a starved or reconfigured era) for a TB/SDU already
+  /// re-armed `retries` times. Below kStrandedRetryCap, count one more
+  /// re-arm and call `retry(retries)` one slot later, then return true. At
+  /// the cap return false: the caller drops it into `stranded_drops`, or it
+  /// would wait forever, uncounted, silently inflating reliability.
+  template <typename Retry>
+  bool rearm_stranded(int& retries, Retry retry) {
+    if (retries >= kStrandedRetryCap) return false;
+    ++retries;
+    sim.schedule_at(sim.now() + slot_dur,
+                    [retry = std::move(retry), n = retries]() mutable { retry(n); });
+    return true;
   }
 
   /// After an UL drop the grant cycle that carried the TB is over; without
@@ -691,7 +686,6 @@ struct E2eSystem::Impl {
       } else {
         ue.retx_queue.push_front(std::move(entry));
       }
-      ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
       sim.schedule_at(air_end + cfg.harq_feedback_delay, [this, &ue] { retransmit_ul(ue); });
       return;
     }
@@ -725,22 +719,17 @@ struct E2eSystem::Impl {
       if (plan) opportunity = plan->grant;
     }
     if (!opportunity) {
-      // No opportunity inside the planner's search horizon (a starved or
-      // reconfigured UL era). The TB used to sit in `retx_queue` forever,
-      // uncounted — reliability silently inflated. Re-arm one slot later;
-      // past the cap, drop it and account the loss explicitly.
-      UeCtx::RetxTb& front = ue.retx_queue.front();
-      if (++front.stranded_retries > kStrandedRetryCap) {
-        ue.retx_queue.pop_front();
-        ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-        drop(stranded_drops, ue.ul_trace);
-        resume_ul_after_drop(ue);
+      // The count rides on the queued TB: a re-lost TB pushed in front
+      // starts its own.
+      if (rearm_stranded(ue.retx_queue.front().stranded_retries,
+                         [this, &ue](int) { retransmit_ul(ue); })) {
+        tracer.span_to(ue.ul_trace, "stranded retransmission wait", LatencyCategory::Protocol,
+                       sim.now() + slot_dur);
         return;
       }
-      const Nanos again = sim.now() + slot_dur;
-      tracer.span_to(ue.ul_trace, "stranded retransmission wait", LatencyCategory::Protocol,
-                     again);
-      sim.schedule_at(again, [this, &ue] { retransmit_ul(ue); });
+      ue.retx_queue.pop_front();
+      drop(stranded_drops, ue.ul_trace);
+      resume_ul_after_drop(ue);
       return;
     }
     const UlGrant g = *opportunity;
@@ -750,7 +739,6 @@ struct E2eSystem::Impl {
       if (ue.retx_queue.empty()) return;
       UeCtx::RetxTb entry = std::move(ue.retx_queue.front());
       ue.retx_queue.pop_front();
-      ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
       transmit_ul(ue, g, std::move(entry.tb), entry.attempt);
     });
   }
@@ -862,6 +850,13 @@ struct E2eSystem::Impl {
     return sched.dl_window_capacity_bytes(symbols);
   }
 
+  /// Run `serve` at DL assignment `a`'s pull time: radio_lead ahead of its
+  /// air window, or now when that has already passed.
+  template <typename Serve>
+  void at_dl_pull(const DlAssignment& a, Serve serve) {
+    sim.schedule_at(std::max(sim.now(), a.tx_start - sched.params().radio_lead), std::move(serve));
+  }
+
   void schedule_dl_service(UeCtx& ue, Nanos ready, int stranded_retries = 0) {
     const std::size_t tb = cfg.payload_bytes + cfg.dl_tb_slack;
     const auto plan = sched.plan_dl(ue.id, ready, tb);
@@ -882,30 +877,22 @@ struct E2eSystem::Impl {
         const DlAssignment a{ue.id, victim->tx_start, victim->tx_end, tb, HarqId{0}};
         tracer.span_to(ue.dl_trace, "URLLC preemption: stolen DL window",
                        LatencyCategory::Protocol, sim.now());
-        const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-        sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a, /*stolen=*/true); });
+        at_dl_pull(a, [this, &ue, a] { serve_dl(ue, a, /*stolen=*/true); });
         return;
       }
     }
     if (!plan) {
-      // DL twin of the stranded-UL fix: no assignment inside the planner's
-      // horizon (a DL-starved pattern). Re-arm one slot later; past the cap,
-      // discard the head-of-line SDU and account it as stranded — a later
-      // service call must not deliver a packet already counted as lost.
-      if (stranded_retries >= kStrandedRetryCap) {
-        if (gnb.downlink(static_cast<std::size_t>(ue.index)).rlc_tx.discard_head()) {
-          drop(stranded_drops, ue.dl_trace);
-        }
-        return;
+      // Stranded past the cap: discard the head-of-line SDU as well, so a
+      // later service call cannot deliver a packet already counted as lost.
+      if (!rearm_stranded(stranded_retries,
+                          [this, &ue](int n) { schedule_dl_service(ue, sim.now(), n); }) &&
+          gnb.downlink(static_cast<std::size_t>(ue.index)).rlc_tx.discard_head()) {
+        drop(stranded_drops, ue.dl_trace);
       }
-      sim.schedule_at(sim.now() + slot_dur, [this, &ue, stranded_retries] {
-        schedule_dl_service(ue, sim.now(), stranded_retries + 1);
-      });
       return;
     }
     const DlAssignment a = *plan;
-    const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-    sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a); });
+    at_dl_pull(a, [this, &ue, a] { serve_dl(ue, a); });
   }
 
   void serve_dl(UeCtx& ue, const DlAssignment& original, bool stolen = false) {
@@ -943,22 +930,16 @@ struct E2eSystem::Impl {
     const std::size_t bytes = tb.size();
     const auto plan = sched.plan_dl(ue.id, ready, bytes);
     if (!plan) {
-      // No assignment inside the planner's horizon: re-arm, then drop and
-      // account past the cap (previously the TB vanished uncounted).
-      if (stranded_retries >= kStrandedRetryCap) {
+      if (!rearm_stranded(stranded_retries,
+                          [this, &ue, tb = std::move(tb), attempt](int n) mutable {
+                            requeue_dl_tb(ue, std::move(tb), sim.now(), attempt, n);
+                          })) {
         drop(stranded_drops, ue.dl_trace);
-        return;
       }
-      sim.schedule_at(sim.now() + slot_dur,
-                      [this, &ue, tb = std::move(tb), attempt, stranded_retries]() mutable {
-                        requeue_dl_tb(ue, std::move(tb), sim.now(), attempt,
-                                      stranded_retries + 1);
-                      });
       return;
     }
     const DlAssignment a = *plan;
-    const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-    sim.schedule_at(pull_time, [this, &ue, a, attempt, tb = std::move(tb)]() mutable {
+    at_dl_pull(a, [this, &ue, a, attempt, tb = std::move(tb)]() mutable {
       tracer.span_to(ue.dl_trace, "wait for re-planned DL slot", LatencyCategory::Protocol,
                      sim.now());
       stage_dl(ue, a, std::move(tb), attempt, Nanos::zero(), /*stolen=*/false);
@@ -1003,7 +984,7 @@ struct E2eSystem::Impl {
       if (!prep.on_time) {
         // Samples missed the slot: corrupted signal (§4). Count it and treat
         // as a lost transmission — retransmit if budget remains.
-        ++owner.radio_deadline_misses_;
+        ++radio_deadline_misses;
         const bool punctured = token != 0 && ledger.consume(token);
         if (attempt < cfg.harq_max_tx) {
           if (punctured) ++punctured_retx;
@@ -1133,7 +1114,7 @@ struct E2eSystem::Impl {
 // ===========================================================================
 
 E2eSystem::E2eSystem(StackConfig cfg) {
-  if (!cfg.duplex) throw std::invalid_argument{"E2eSystem: duplex config required"};
+  cfg.validate();
   impl_ = std::make_unique<Impl>(std::move(cfg), *this);
 }
 
@@ -1152,18 +1133,15 @@ void E2eSystem::send_downlink_at(Nanos at, int ue) { impl_->inject(Direction::Do
 
 void E2eSystem::run_until(Nanos until) {
   impl_->sim.run_until(until);
-  // Slot barrier: the window's scratch is dead, recycle it in O(1).
-  impl_->arena.epoch_reset();
   if (impl_->cfg.trace.metrics_on()) impl_->publish_counters();
 }
-
-Arena& E2eSystem::slot_arena() { return impl_->arena; }
 
 std::uint64_t E2eSystem::packets_started() const {
   return impl_->packets_started[0] + impl_->packets_started[1];
 }
 std::uint64_t E2eSystem::packets_delivered() const { return impl_->packets_delivered; }
 
+std::uint64_t E2eSystem::radio_deadline_misses() const { return impl_->radio_deadline_misses; }
 std::uint64_t E2eSystem::missed_grants() const { return impl_->missed_grants; }
 std::uint64_t E2eSystem::harq_dropped_tbs() const { return impl_->harq_dropped; }
 std::uint64_t E2eSystem::stranded_drops() const { return impl_->stranded_drops; }
@@ -1193,12 +1171,12 @@ Nanos E2eSystem::wifi_busy_until(Nanos horizon) {
 
 E2eSystem::MacBacklog E2eSystem::mac_backlog() const {
   MacBacklog b;
-  b.sr_pending = UeMacPool::count_set(impl_->mac_pool.sr_pending_row());
-  b.cg_armed = UeMacPool::count_set(impl_->mac_pool.cg_scheduled_row());
-  impl_->mac_pool.for_each_retx([&](std::size_t, std::uint32_t depth) {
-    ++b.retx_ues;
-    b.retx_tbs += depth;
-  });
+  for (const auto& ue : impl_->ues) {
+    b.sr_pending += ue->sr_pending ? 1 : 0;
+    b.cg_armed += ue->cg_scheduled ? 1 : 0;
+    b.retx_ues += ue->retx_queue.empty() ? 0 : 1;
+    b.retx_tbs += ue->retx_queue.size();
+  }
   return b;
 }
 FaultInjector::Counters E2eSystem::fault_counters() const { return impl_->faults.counters(); }

@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
 #include "core/stack_config.hpp"
@@ -87,7 +86,8 @@ class E2eSystem {
   [[nodiscard]] RunningStats rlc_queue_stats_us() const;
   /// Delivered fraction within `deadline` — the reliability figure of §6.
   [[nodiscard]] double reliability_at(Direction dir, Nanos deadline) const;
-  [[nodiscard]] std::uint64_t radio_deadline_misses() const { return radio_deadline_misses_; }
+  /// DL sample buffers that reached the radio after their slot began (§4).
+  [[nodiscard]] std::uint64_t radio_deadline_misses() const;
   /// UL grants the UE decoded too late for their window (re-granted).
   [[nodiscard]] std::uint64_t missed_grants() const;
 
@@ -118,9 +118,7 @@ class E2eSystem {
   /// Injected-fault tallies (all zero when `StackConfig::faults` is empty).
   [[nodiscard]] FaultInjector::Counters fault_counters() const;
 
-  /// Cell-wide MAC backlog, tallied by word-at-a-time scans over the
-  /// struct-of-arrays UE pool (mac/ue_pool.hpp) rather than a walk over the
-  /// per-UE contexts.
+  /// Cell-wide MAC backlog, tallied over the tracked UEs' contexts.
   struct MacBacklog {
     std::size_t sr_pending = 0;    ///< UEs with a scheduling request latched
     std::size_t cg_armed = 0;      ///< UEs with a configured-grant service queued
@@ -128,12 +126,6 @@ class E2eSystem {
     std::size_t retx_tbs = 0;      ///< total queued retransmission TBs
   };
   [[nodiscard]] MacBacklog mac_backlog() const;
-
-  /// Slot-scoped scratch arena for this cell. Everything allocated from it
-  /// dies at the next slot barrier: run_until() epoch-resets it after the
-  /// window drains, so batch drivers (and the sharded engine, which advances
-  /// cells in slot windows) get warm, heap-free scratch every slot.
-  [[nodiscard]] Arena& slot_arena();
 
   // -- Scale-out hooks (sim/sharded.hpp) ------------------------------------
 
@@ -180,7 +172,6 @@ class E2eSystem {
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::vector<PacketRecord> records_;
-  std::uint64_t radio_deadline_misses_ = 0;
 
   friend struct Impl;
 };

@@ -1,5 +1,7 @@
 #include "core/stack_config.hpp"
 
+#include <stdexcept>
+
 #include "tdd/common_config.hpp"
 
 namespace u5g {
@@ -183,6 +185,15 @@ CanonicalWords StackConfig::canonical_words() const {
 }
 
 std::uint64_t StackConfig::canonical_key() const { return canonical_words().hash(); }
+
+void StackConfig::validate() const {
+  if (!duplex) throw std::invalid_argument{"StackConfig: duplex config required"};
+  if (num_ues < 1) throw std::invalid_argument{"StackConfig: num_ues must be >= 1"};
+  if (harq_max_tx < 1) throw std::invalid_argument{"StackConfig: harq_max_tx must be >= 1"};
+  if (!(channel_loss >= 0.0 && channel_loss <= 1.0)) {
+    throw std::invalid_argument{"StackConfig: channel_loss must lie in [0, 1]"};
+  }
+}
 
 bool operator==(const StackConfig& a, const StackConfig& b) {
   return a.canonical_words() == b.canonical_words();

@@ -116,6 +116,11 @@ struct StackConfig {
   /// tight margin — the configuration the paper argues can meet URLLC.
   static StackConfig urllc_design(std::uint64_t seed = 1);
 
+  /// Throw std::invalid_argument for a config no run can honour: a null
+  /// `duplex`, `num_ues < 1`, `harq_max_tx < 1`, or `channel_loss` outside
+  /// [0, 1] (NaN included). E2eSystem calls it first; nothing is clamped.
+  void validate() const;
+
   // -- Canonical identity ----------------------------------------------------
   // Two StackConfigs with the same canonical identity produce bitwise-
   // identical simulations: every knob participates by value, including the

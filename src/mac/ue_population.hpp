@@ -4,9 +4,8 @@
 // A full E2eSystem UE costs a protocol-stack object graph and one event per
 // packet per layer crossing — fine for the handful of *tracked* UEs whose
 // per-packet latency the paper's figures are about, fatal for the ~1M
-// background UEs whose only job is to load the cell. This pool extends the
-// PR-6 struct-of-arrays pattern (mac/ue_pool.hpp) from per-UE flags to the
-// whole background population:
+// background UEs whose only job is to load the cell. This pool keeps the
+// whole background population in struct-of-arrays rows:
 //
 //  * All per-UE MAC state lives in flat rows carved from one BufferPool
 //    block: SR and HARQ membership as 64-UE bitmask words, per-UE
@@ -43,6 +42,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -91,6 +91,7 @@ class UePopulation {
     const double per_ue_per_slot = static_cast<double>(slot_.count()) /
                                    static_cast<double>(cfg.mean_interarrival.count());
     mean_per_slot_ = static_cast<double>(n_) * per_ue_per_slot;
+    poisson_limit_ = std::exp(-mean_per_slot_);
     per_ue_p_ = std::min(per_ue_per_slot, 1.0);
     period_slots_ = std::max<int>(
         1, static_cast<int>((cfg.mean_interarrival.count() + slot_.count() / 2) /
@@ -241,7 +242,7 @@ class UePopulation {
         // prefetches stay inline: GCC 12 deletes calls to a helper whose
         // body is only prefetches.
         std::size_t ues[kArrivalChunk];
-        for (int left = poisson_count(rng_, mean_per_slot_); left > 0;
+        for (int left = poisson_count(rng_, mean_per_slot_, poisson_limit_); left > 0;
              left -= kArrivalChunk) {
           const int m = std::min(left, kArrivalChunk);
           for (int k = 0; k < m; ++k) {
@@ -336,6 +337,7 @@ class UePopulation {
   std::size_t cap_ = 1;
   std::size_t words_ = 0;
   double mean_per_slot_ = 0.0;
+  double poisson_limit_ = 1.0;  ///< std::exp(-mean_per_slot_)
   double per_ue_p_ = 0.0;
   int period_slots_ = 1;
 

@@ -10,7 +10,6 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/rng.hpp"
-#include "mac/harq.hpp"
 #include "os/proc_time.hpp"
 #include "pdcp/pdcp_entity.hpp"
 #include "phy/phy_timing.hpp"
@@ -53,7 +52,6 @@ struct NodeCompute {
   RadioHead radio;
   PhyTimingModel phy;
   SdapEntity sdap;
-  HarqEntity harq;
 };
 
 /// One node's full stack state: compute plus its bearer chains. A UE has

@@ -7,12 +7,16 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <string_view>
 
 #include "core/e2e_system.hpp"
 #include "core/latency_model.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "fault/scenario.hpp"
+#include "loss_identity.hpp"
 #include "phy/channel.hpp"
 #include "tdd/common_config.hpp"
 #include "tdd/mini_slot.hpp"
@@ -140,10 +144,10 @@ TEST(E2eTest, ChannelLossRecoveredByHarq) {
 }
 
 TEST(E2eTest, MacBacklogScansTheSoAPoolRows) {
-  // mac_backlog() reads the struct-of-arrays MAC state rows directly (the
-  // batch-scan consumer of the UE pool). Quiesced after a loss-free run,
-  // every backlog gauge must be back at idle; mid-run with pending traffic
-  // the gauges must be internally consistent.
+  // mac_backlog() tallies the per-UE MAC state (SR latch, configured-grant
+  // service, HARQ retransmission queue) of every tracked UE. Quiesced after
+  // a loss-free run, every backlog gauge must be back at idle; mid-run with
+  // pending traffic the gauges must be internally consistent.
   StackConfig cfg = StackConfig::testbed_grant_free(21);
   cfg.num_ues = 4;
   E2eSystem sys(std::move(cfg));
@@ -168,6 +172,186 @@ TEST(E2eTest, MacBacklogScansTheSoAPoolRows) {
     saw_retx = saw_retx || b.retx_ues > 0;
   }
   EXPECT_TRUE(saw_retx) << "30% loss must surface a HARQ retx backlog at some slot";
+}
+
+TEST(E2eTest, RejectsInvalidStackConfig) {
+  // Each bound throws instead of being clamped; both edges are accepted.
+  const auto build = [](auto edit) {
+    StackConfig cfg = StackConfig::testbed_grant_based(1);
+    edit(cfg);
+    E2eSystem sys(std::move(cfg));
+  };
+  EXPECT_THROW(build([](StackConfig& c) { c.duplex = nullptr; }), std::invalid_argument);
+  EXPECT_THROW(build([](StackConfig& c) { c.num_ues = 0; }), std::invalid_argument);
+  EXPECT_THROW(build([](StackConfig& c) { c.harq_max_tx = 0; }), std::invalid_argument);
+  EXPECT_THROW(build([](StackConfig& c) { c.channel_loss = std::nextafter(0.0, -1.0); }),
+               std::invalid_argument);
+  EXPECT_THROW(build([](StackConfig& c) { c.channel_loss = std::nextafter(1.0, 2.0); }),
+               std::invalid_argument);
+  EXPECT_THROW(
+      build([](StackConfig& c) { c.channel_loss = std::numeric_limits<double>::quiet_NaN(); }),
+      std::invalid_argument);
+
+  EXPECT_NO_THROW(build([](StackConfig& c) { c.num_ues = 1; }));
+  EXPECT_NO_THROW(build([](StackConfig& c) { c.harq_max_tx = 1; }));
+  EXPECT_NO_THROW(build([](StackConfig& c) { c.channel_loss = 0.0; }));
+  EXPECT_NO_THROW(build([](StackConfig& c) { c.channel_loss = 1.0; }));
+}
+
+TEST(E2eTest, MacBacklogCountsEachUeOnce) {
+  // Two of four UEs get one grant-based UL packet each at the same instant.
+  // At every event the SR gauge counts UEs, not packets or events: it never
+  // exceeds the two UEs with traffic, and it sees both latched at once.
+  StackConfig cfg = StackConfig::testbed_grant_based(25);
+  cfg.num_ues = 4;
+  E2eSystem sys(std::move(cfg));
+  sys.send_uplink_at(Nanos{100'000}, 0);
+  sys.send_uplink_at(Nanos{100'000}, 2);
+  std::size_t max_sr = 0;
+  while (sys.simulator().now() < 20_ms && sys.simulator().step()) {
+    const E2eSystem::MacBacklog b = sys.mac_backlog();
+    EXPECT_LE(b.sr_pending, 2u);
+    EXPECT_EQ(b.retx_ues, 0u);
+    EXPECT_EQ(b.cg_armed, 0u) << "grant-based UEs never queue a configured-grant service";
+    max_sr = std::max(max_sr, b.sr_pending);
+  }
+  EXPECT_EQ(max_sr, 2u);
+  EXPECT_EQ(sys.packets_delivered(), 2u);
+  EXPECT_EQ(sys.mac_backlog().sr_pending, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// StackConfig::validate
+
+TEST(StackConfigTest, NamedPresetsValidate) {
+  EXPECT_NO_THROW(StackConfig::testbed_grant_based().validate());
+  EXPECT_NO_THROW(StackConfig::testbed_grant_free().validate());
+  EXPECT_NO_THROW(StackConfig::urllc_design().validate());
+}
+
+TEST(StackConfigTest, ValidateRejectsNonPositiveCountsOfAnyMagnitude) {
+  for (const int bad : {std::numeric_limits<int>::min(), -1, 0}) {
+    StackConfig ues = StackConfig::testbed_grant_based();
+    ues.num_ues = bad;
+    EXPECT_THROW(ues.validate(), std::invalid_argument) << "num_ues=" << bad;
+    StackConfig harq = StackConfig::testbed_grant_based();
+    harq.harq_max_tx = bad;
+    EXPECT_THROW(harq.validate(), std::invalid_argument) << "harq_max_tx=" << bad;
+  }
+  StackConfig big = StackConfig::testbed_grant_based();
+  big.num_ues = 4096;
+  big.harq_max_tx = 32;
+  EXPECT_NO_THROW(big.validate());
+}
+
+TEST(StackConfigTest, ValidateAcceptsExactlyTheClosedUnitIntervalOfChannelLoss) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double ok : {0.0, -0.0, std::numeric_limits<double>::denorm_min(), 0.5,
+                          std::nextafter(1.0, 0.0), 1.0}) {
+    StackConfig c = StackConfig::testbed_grant_free();
+    c.channel_loss = ok;
+    EXPECT_NO_THROW(c.validate()) << "channel_loss=" << ok;
+  }
+  for (const double bad : {-kInf, -1.0, 1.5, kInf, -std::numeric_limits<double>::quiet_NaN()}) {
+    StackConfig c = StackConfig::testbed_grant_free();
+    c.channel_loss = bad;
+    EXPECT_THROW(c.validate(), std::invalid_argument) << "channel_loss=" << bad;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The HARQ loop: transmit, wait for feedback, retransmit, give up at the
+// budget. It is the one HARQ model a run has, so its contract is checked
+// end to end.
+
+TEST(E2eHarqTest, LossFreeRunNeverRetransmits) {
+  E2eSystem sys(StackConfig::testbed_grant_based(31));
+  offer_uniform(sys, 100, Direction::Uplink, 32);
+  offer_uniform(sys, 100, Direction::Downlink, 33);
+  sys.run_until(kPattern * 2 * 110);
+  for (const PacketRecord& r : sys.records()) {
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.harq_transmissions, 1);
+  }
+  EXPECT_EQ(sys.harq_dropped_tbs(), 0u);
+  EXPECT_EQ(sys.mac_backlog().retx_tbs, 0u);
+  expect_loss_identity(sys, 200);
+}
+
+TEST(E2eHarqTest, CertainUplinkLossDropsEveryTbAtTheBudget) {
+  StackConfig cfg = StackConfig::testbed_grant_free(34);
+  cfg.channel_loss = 1.0;
+  cfg.harq_max_tx = 3;
+  E2eSystem sys(std::move(cfg));
+  offer_uniform(sys, 20, Direction::Uplink, 35);
+  sys.run_until(kPattern * 2 * 30);
+  EXPECT_EQ(sys.packets_delivered(), 0u);
+  EXPECT_EQ(sys.harq_dropped_tbs(), 20u);
+  EXPECT_EQ(sys.stranded_drops(), 0u);
+  const E2eSystem::MacBacklog b = sys.mac_backlog();
+  EXPECT_EQ(b.retx_ues, 0u) << "a dropped TB must leave the retransmission queue";
+  EXPECT_EQ(b.retx_tbs, 0u);
+  expect_loss_identity(sys, 20);
+}
+
+TEST(E2eHarqTest, CertainDownlinkLossDropsEveryTbAtTheBudget) {
+  StackConfig cfg = StackConfig::testbed_grant_based(36);
+  cfg.channel_loss = 1.0;
+  cfg.harq_max_tx = 3;
+  E2eSystem sys(std::move(cfg));
+  offer_uniform(sys, 20, Direction::Downlink, 37);
+  sys.run_until(kPattern * 2 * 30);
+  EXPECT_EQ(sys.packets_delivered(), 0u);
+  EXPECT_EQ(sys.harq_dropped_tbs(), 20u);
+  EXPECT_EQ(sys.stranded_drops(), 0u);
+  expect_loss_identity(sys, 20);
+}
+
+TEST(E2eHarqTest, DeliveredTransmissionCountStaysWithinTheBudget) {
+  StackConfig cfg = StackConfig::testbed_grant_free(38);
+  cfg.channel_loss = 0.5;
+  cfg.harq_max_tx = 3;
+  E2eSystem sys(std::move(cfg));
+  offer_uniform(sys, 200, Direction::Uplink, 39);
+  offer_uniform(sys, 200, Direction::Downlink, 40);
+  sys.run_until(kPattern * 2 * 220);
+  std::array<int, 4> by_attempt{};  // delivered packets by transmissions 1..3
+  for (const PacketRecord& r : sys.records()) {
+    if (!r.ok) continue;
+    ASSERT_GE(r.harq_transmissions, 1);
+    ASSERT_LE(r.harq_transmissions, 3);
+    ++by_attempt[static_cast<std::size_t>(r.harq_transmissions)];
+  }
+  // Each attempt succeeds with probability 1/2, so every budget slot is used.
+  EXPECT_GT(by_attempt[1], by_attempt[2]);
+  EXPECT_GT(by_attempt[2], by_attempt[3]);
+  EXPECT_GT(by_attempt[3], 0);
+  EXPECT_GT(sys.harq_dropped_tbs(), 0u);
+  expect_loss_identity(sys, 400);
+}
+
+TEST(E2eHarqTest, SingleTransmissionBudgetNeverRetransmits) {
+  StackConfig cfg = StackConfig::testbed_grant_based(41);
+  cfg.channel_loss = 0.3;
+  cfg.harq_max_tx = 1;
+  E2eSystem sys(std::move(cfg));
+  // Packets at least 6 ms apart: longer than one SR-grant cycle, so no UL
+  // TB carries two packets and a TB drop is a packet drop.
+  offer_uniform(sys, 150, Direction::Uplink, 42, kPattern * 4);
+  offer_uniform(sys, 150, Direction::Downlink, 43, kPattern * 4);
+  bool saw_retx = false;
+  for (int step = 1; step <= 170; ++step) {
+    sys.run_until(kPattern * 4 * step);
+    saw_retx = saw_retx || sys.mac_backlog().retx_tbs > 0;
+  }
+  EXPECT_FALSE(saw_retx) << "a budget of one transmission leaves nothing to retransmit";
+  for (const PacketRecord& r : sys.records()) {
+    if (r.ok) {
+      EXPECT_EQ(r.harq_transmissions, 1);
+    }
+  }
+  EXPECT_GT(sys.harq_dropped_tbs(), 0u);
+  expect_loss_identity(sys, 300);
 }
 
 TEST(E2eTest, RetransmissionCostsVisibleInLatency) {

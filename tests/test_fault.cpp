@@ -14,11 +14,11 @@
 
 #include "core/e2e_system.hpp"
 #include "core/reliability.hpp"
+#include "core/repetition.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "fault/injector.hpp"
 #include "fault/scenario.hpp"
 #include "loss_identity.hpp"
-#include "mac/harq.hpp"
 #include "sim/sharded.hpp"
 #include "tdd/common_config.hpp"
 
@@ -293,6 +293,15 @@ class BlackoutDuplex final : public DuplexConfig {
   SlotIndex last_;
 };
 
+/// Step `sys` one event at a time up to its first stranded drop and return
+/// the simulated time of that drop (Nanos::max() if the queue drains first).
+Nanos step_to_first_stranded_drop(E2eSystem& sys) {
+  while (sys.stranded_drops() == 0) {
+    if (!sys.simulator().step()) return Nanos::max();
+  }
+  return sys.simulator().now();
+}
+
 }  // namespace
 
 TEST(FaultRegressionTest, StrandedUlRetransmissionIsCountedNotLeaked) {
@@ -356,6 +365,71 @@ TEST(FaultRegressionTest, StrandedDlSduIsDiscardedNotDeliveredLater) {
   EXPECT_TRUE(sys.records()[1].ok);
   EXPECT_EQ(sys.stranded_drops(), 1u);
   expect_loss_identity(sys, 2);
+}
+
+TEST(FaultRegressionTest, StrandedDlRetransmissionIsCountedOnce) {
+  // The DL *re-plan* path: a DL packet's TB is lost in every transmission a
+  // certain-loss burst covers, and then a 100 ms DL blackout (slots 20-219
+  // at µ1) starves the re-plan past the retry cap. The TB is dropped once
+  // as stranded. The drop time and the post-gap packet's delivery time pin
+  // the re-arm timing (both recorded once, never regenerated).
+  StackConfig cfg = StackConfig::testbed_grant_based(29);
+  cfg.duplex =
+      std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Downlink, 20, 219);
+  cfg.harq_max_tx = 8;  // budget never exhausts before the blackout
+  cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
+                                          FaultWindow::once(Nanos::zero(), 10_ms))};
+  E2eSystem sys(std::move(cfg));
+  sys.send_downlink_at(8_ms);
+  sys.send_downlink_at(130_ms);
+  EXPECT_EQ(step_to_first_stranded_drop(sys), Nanos{42'000'000});
+  sys.run_until(400_ms);
+
+  EXPECT_FALSE(sys.records()[0].ok);
+  ASSERT_TRUE(sys.records()[1].ok);
+  EXPECT_EQ(sys.stranded_drops(), 1u);
+  EXPECT_EQ(sys.harq_dropped_tbs(), 0u);
+  EXPECT_EQ(sys.records()[1].delivered, Nanos{136'926'340});
+  expect_loss_identity(sys, 2);
+}
+
+TEST(FaultRegressionTest, StrandedGrantFreeUlRetransmissionIsCounted) {
+  // The grant-free twin of StrandedUlRetransmissionIsCountedNotLeaked: the
+  // retransmission searches configured-grant occasions, and a 114 ms UL
+  // blackout (slots 12-239 at µ1) leaves none inside the horizon until the
+  // retry cap drops the TB as stranded. The drop time, the traced re-arm
+  // waits and the post-gap packet's delivery time pin the re-arm timing
+  // (all recorded once, never regenerated).
+  StackConfig cfg = StackConfig::testbed_grant_free(27);
+  cfg.duplex =
+      std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Uplink, 12, 239);
+  cfg.harq_max_tx = 8;  // budget never exhausts inside the era
+  cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
+                                          FaultWindow::once(Nanos::zero(), 6_ms))};
+  cfg.trace.enabled = true;
+  cfg.trace.metrics = false;
+  E2eSystem sys(std::move(cfg));
+  sys.send_uplink_at(Nanos{100'000});
+  sys.send_uplink_at(150_ms);
+  EXPECT_EQ(step_to_first_stranded_drop(sys), Nanos{38'142'856});
+  sys.run_until(400_ms);
+
+  EXPECT_FALSE(sys.records()[0].ok);
+  ASSERT_TRUE(sys.records()[1].ok);
+  EXPECT_EQ(sys.stranded_drops(), 1u);
+  EXPECT_EQ(sys.harq_dropped_tbs(), 0u);
+  EXPECT_EQ(sys.records()[1].delivered, Nanos{156'883'824});
+  expect_loss_identity(sys, 2);
+
+  // One traced wait per re-arm, slot after slot, up to the drop.
+  std::vector<TraceSpan> waits;
+  for (const TraceSpan& sp : sys.tracer().spans()) {
+    if (sp.name == "stranded retransmission wait") waits.push_back(sp);
+  }
+  ASSERT_EQ(waits.size(), 64u);
+  EXPECT_EQ(waits.front().seq, 0);
+  EXPECT_EQ(waits.front().start, Nanos{6'142'856});
+  EXPECT_EQ(waits.back().end, Nanos{38'142'856});
 }
 
 TEST(FaultRegressionTest, ReLostTbKeepsOldestFirstRecoveryOrder) {

@@ -1,11 +1,12 @@
-// Unit tests for src/mac: SR procedure, configured grants, HARQ, BSR,
+// Unit tests for src/mac: SR procedure, configured grants, the HARQ BLER
+// model (core/repetition.hpp), BSR,
 // MAC PDU multiplexing, and the scheduler's timing decisions.
 
 #include <gtest/gtest.h>
 
+#include "core/repetition.hpp"
 #include "mac/bsr.hpp"
 #include "mac/configured_grant.hpp"
-#include "mac/harq.hpp"
 #include "mac/mac_pdu.hpp"
 #include "mac/sched_request.hpp"
 #include "mac/scheduler.hpp"
@@ -131,36 +132,6 @@ TEST(ConfiguredGrantTest, OccasionsPerSecond) {
 
 // ---------------------------------------------------------------------------
 // HARQ
-
-TEST(HarqTest, ClaimAllProcesses) {
-  HarqEntity h;
-  for (int i = 0; i < HarqEntity::kProcesses; ++i) {
-    EXPECT_TRUE(h.start(100, Nanos{i}).has_value());
-  }
-  EXPECT_FALSE(h.start(100, 0_ns).has_value());  // pool exhausted
-  EXPECT_EQ(h.busy_count(), HarqEntity::kProcesses);
-}
-
-TEST(HarqTest, AckFreesProcess) {
-  HarqEntity h;
-  const auto id = h.start(100, 0_ns);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_FALSE(h.on_feedback(*id, true));  // ACK: no retx
-  EXPECT_EQ(h.busy_count(), 0);
-}
-
-TEST(HarqTest, NackTriggersRetxUntilBudget) {
-  HarqEntity h{3};
-  const auto id = h.start(100, 0_ns);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_TRUE(h.on_feedback(*id, false));   // 1st NACK -> retx
-  h.on_retransmit(*id);
-  EXPECT_TRUE(h.on_feedback(*id, false));   // 2nd NACK -> retx (tx 3 of 3)
-  h.on_retransmit(*id);
-  EXPECT_FALSE(h.on_feedback(*id, false));  // budget exhausted: drop
-  EXPECT_EQ(h.dropped(), 1u);
-  EXPECT_EQ(h.busy_count(), 0);
-}
 
 TEST(HarqTest, EffectiveBlerDecreasesPerAttempt) {
   EXPECT_DOUBLE_EQ(effective_bler(0.1, 1), 0.1);

@@ -1,6 +1,6 @@
-// Unit tests for the discrete-event kernel and the periodic process helper,
-// including the slot-map tombstone machinery and the small-buffer Action's
-// zero-allocation guarantee.
+// Unit tests for the discrete-event kernel, including the slot-map
+// tombstone machinery and the small-buffer Action's zero-allocation
+// guarantee.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <new>
 #include <vector>
 
-#include "sim/periodic.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
 
@@ -396,69 +395,6 @@ TEST(SimulatorTest, SteadyStateScheduleFireCancelIsHeapFree) {
   }
   EXPECT_EQ(g_allocs.load(), before) << "kernel steady state must not touch the heap";
   EXPECT_GT(fired, 0);
-}
-
-// ---------------------------------------------------------------------------
-// PeriodicProcess
-
-TEST(PeriodicProcessTest, TicksAtPeriod) {
-  Simulator sim;
-  std::vector<Nanos> ticks;
-  PeriodicProcess p(sim, 100_us, [&](Nanos now) { ticks.push_back(now); });
-  sim.run_until(350_us);
-  ASSERT_EQ(ticks.size(), 4u);  // 0, 100, 200, 300
-  EXPECT_EQ(ticks[0], 0_us);
-  EXPECT_EQ(ticks[3], 300_us);
-  p.stop();
-}
-
-TEST(PeriodicProcessTest, PhaseOffset) {
-  Simulator sim;
-  std::vector<Nanos> ticks;
-  PeriodicProcess p(sim, 100_us, [&](Nanos now) { ticks.push_back(now); }, 30_us);
-  sim.run_until(250_us);
-  ASSERT_GE(ticks.size(), 2u);
-  EXPECT_EQ(ticks[0], 30_us);
-  EXPECT_EQ(ticks[1], 130_us);
-  p.stop();
-}
-
-TEST(PeriodicProcessTest, StopHaltsTicks) {
-  Simulator sim;
-  int count = 0;
-  PeriodicProcess p(sim, 10_us, [&](Nanos) { ++count; });
-  sim.run_until(25_us);
-  p.stop();
-  sim.run_until(100_us);
-  EXPECT_EQ(count, 3);  // 0, 10, 20
-}
-
-TEST(PeriodicProcessTest, DestructorCancels) {
-  Simulator sim;
-  int count = 0;
-  {
-    PeriodicProcess p(sim, 10_us, [&](Nanos) { ++count; });
-    sim.run_until(15_us);
-  }
-  sim.run_until(100_us);
-  EXPECT_EQ(count, 2);
-}
-
-TEST(PeriodicProcessTest, StartedLateAlignsToGrid) {
-  Simulator sim;
-  sim.schedule_at(105_us, [] {});
-  sim.run_until();
-  std::vector<Nanos> ticks;
-  PeriodicProcess p(sim, 100_us, [&](Nanos now) { ticks.push_back(now); }, 0_us);
-  sim.run_until(350_us);
-  ASSERT_GE(ticks.size(), 1u);
-  EXPECT_EQ(ticks[0], 200_us);  // next multiple of 100 after now=105
-  p.stop();
-}
-
-TEST(PeriodicProcessTest, InvalidPeriodThrows) {
-  Simulator sim;
-  EXPECT_THROW(PeriodicProcess(sim, 0_ns, [](Nanos) {}), std::invalid_argument);
 }
 
 }  // namespace
