@@ -4,7 +4,7 @@
 //
 // Same testbed E2E run with four radio-head buses; the scheduler lead is
 // adapted to each bus's nominal cost (as a real deployment would tune it).
-// The four bus candidates run concurrently on the Monte-Carlo runner's pool;
+// The four bus candidates run concurrently on the Monte-Carlo runner's crew;
 // per-point seeds keep the legacy derivation (base seed + point index), so
 // results are identical to the serial sweep at any thread count.
 

@@ -8,7 +8,7 @@
 // minimises queueing but the USB bus + OS spikes miss slots (corrupted ->
 // HARQ retransmission -> latency tail / loss); a generous lead wastes
 // latency on every packet but is clean. The six lead points run concurrently
-// on the Monte-Carlo runner's pool with the legacy per-point seeds.
+// on the Monte-Carlo runner's crew with the legacy per-point seeds.
 
 #include <cstdio>
 

@@ -11,7 +11,7 @@
 //  3. Contention (simulated): the full multi-UE system under synchronised
 //     bursts — per-UE mean/p99 uplink latency vs the number of UEs, for
 //     grant-free and grant-based access. The eight (UE count x access mode)
-//     simulations fan across the Monte-Carlo runner's pool.
+//     simulations fan across the Monte-Carlo runner's crew.
 
 #include <cstdio>
 
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   }
 
   // Simulated contention: synchronised uplink bursts on the testbed config.
-  // Fan the (UE count x access mode) grid across the pool; legacy per-point
+  // Fan the (UE count x access mode) grid across the runner's crew; legacy per-point
   // seeds (70+n grant-free, 90+n grant-based by default).
   std::printf("\n-- simulated: per-UE uplink latency under synchronised bursts (testbed) --\n");
   std::printf("   %6s | %18s | %18s\n", "UEs", "grant-free", "grant-based");

@@ -147,7 +147,7 @@ void BM_E2eTestbedRun(benchmark::State& state) {
 BENCHMARK(BM_E2eTestbedRun)->Arg(50);
 
 // Fan-out overhead of the Monte-Carlo runner itself: trivial replications,
-// so the measured time is pool setup + dispatch + merge bookkeeping.
+// so the measured time is crew setup + dispatch + merge bookkeeping.
 void BM_RunnerFanOut(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -3,7 +3,7 @@
 // model the latency for multiple UEs" as an open problem; this bench runs
 // the closed-form M/D/1-on-protocol-geometry model side by side with the
 // simulator across UE counts and offered loads, fanning the (UEs, load)
-// cases across the Monte-Carlo runner's pool with the legacy per-case seeds.
+// cases across the Monte-Carlo runner's crew with the legacy per-case seeds.
 
 #include <algorithm>
 #include <cstdio>

@@ -3,7 +3,7 @@
 // just-in-time occasion per expected packet. This bench compares the two on
 // a periodic URLLC workload with timing jitter: reserved windows per second,
 // wasted fraction, and the latency each packet actually sees. The jitter
-// sweep points run concurrently on the Monte-Carlo runner's pool with the
+// sweep points run concurrently on the Monte-Carlo runner's crew with the
 // legacy per-point seeds (900 + jitter in µs).
 
 #include <cstdio>

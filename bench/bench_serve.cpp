@@ -13,12 +13,11 @@
 //   * sim-tail answers bitwise identical at 1/2/8 sim threads, and a warm
 //     tail hit identical to its cold miss.
 //
-// CLI: [--queries N] [--batch N] [--async] [--json FILE] [--strict] [--smoke]
+// CLI: [--queries N] [--batch N] [--json FILE] [--strict] [--smoke]
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -153,30 +152,6 @@ int main(int argc, char** argv) {
   const double batch_wall = seconds_since(batch_t0);
   const double batch_qps = static_cast<double>(total) / batch_wall;
   std::printf("batch: %.0f queries/s at batch size %d\n", batch_qps, batch_size);
-
-  // -- Async completion paths ------------------------------------------------
-  {
-    FeasibilityService async_service;
-    std::vector<std::future<FeasibilityVerdict>> futs;
-    futs.reserve(universe.size());
-    for (const FeasibilityQuery& q : universe) futs.push_back(async_service.query_async(q));
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      check(same_worst_case(futs[i].get().worst_case, cold[i].worst_case),
-            "query_async answer != sync answer");
-    }
-    std::promise<std::vector<FeasibilityVerdict>> done;
-    std::future<std::vector<FeasibilityVerdict>> done_fut = done.get_future();
-    async_service.query_batch_async(
-        universe, [&done](std::vector<FeasibilityVerdict> vs) { done.set_value(std::move(vs)); });
-    const std::vector<FeasibilityVerdict> vs = done_fut.get();
-    check(vs.size() == universe.size(), "query_batch_async result count");
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-      check(same_worst_case(vs[i].worst_case, cold[i].worst_case),
-            "query_batch_async answer != sync answer");
-    }
-    std::printf("async: future + callback completions match sync answers: %s\n",
-                g_failures == 0 ? "ok" : "FAILED");
-  }
 
   // -- Sim-tail fallback: deterministic across service sim threads -----------
   const int reps = opt.smoke ? 2 : 4;

@@ -38,9 +38,8 @@ struct BenchOptions {
   bool strict = false;                 ///< enable bench self-check assertions
   bool smoke = false;                  ///< shrink fixed sweeps for sanitizer CI
   // Query-service workload knobs (bench_serve and friends):
-  int queries = 0;     ///< total queries to issue (0 = bench default)
-  int batch = 0;       ///< queries per QueryBatch (0 = one batch per sweep)
-  bool async = false;  ///< exercise the future/callback completion paths
+  int queries = 0;  ///< total queries to issue (0 = bench default)
+  int batch = 0;    ///< queries per QueryBatch (0 = one batch per sweep)
 };
 
 namespace detail {
@@ -95,12 +94,10 @@ inline BenchOptions parse_bench_options(int argc, char** argv, BenchOptions defa
       o.queries = static_cast<int>(detail::parse_ll(a, next(a)));
     } else if (std::strcmp(a, "--batch") == 0) {
       o.batch = static_cast<int>(detail::parse_ll(a, next(a)));
-    } else if (std::strcmp(a, "--async") == 0) {
-      o.async = true;
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       std::printf("usage: %s [--packets N] [--trials N] [--seed S] [--threads T] "
                   "[--json FILE] [--out DIR | DIR] [--trace FILE] [--metrics FILE] "
-                  "[--strict] [--smoke] [--queries N] [--batch N] [--async]\n",
+                  "[--strict] [--smoke] [--queries N] [--batch N]\n",
                   argv[0]);
       std::exit(0);
     } else if (a[0] != '-') {

@@ -36,8 +36,8 @@ struct DesignSpaceOptions {
   LatencyModelParams model{};
   bool fr1_only = true;  ///< the paper's scope: FR2 fails reliability
   /// Retained for source compatibility: the sweep now submits one
-  /// QueryBatch to `FeasibilityService::shared()`, whose pool sizes itself;
-  /// answers are pure values, identical at any worker count.
+  /// QueryBatch to `FeasibilityService::shared()`, answered on the calling
+  /// thread; answers are pure values, identical at any worker count.
   int threads = 0;
 };
 

@@ -190,6 +190,7 @@ void StackConfig::validate() const {
   if (!duplex) throw std::invalid_argument{"StackConfig: duplex config required"};
   if (num_ues < 1) throw std::invalid_argument{"StackConfig: num_ues must be >= 1"};
   if (harq_max_tx < 1) throw std::invalid_argument{"StackConfig: harq_max_tx must be >= 1"};
+  if (num_cells < 1) throw std::invalid_argument{"StackConfig: num_cells must be >= 1"};
   if (!(channel_loss >= 0.0 && channel_loss <= 1.0)) {
     throw std::invalid_argument{"StackConfig: channel_loss must lie in [0, 1]"};
   }

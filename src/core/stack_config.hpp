@@ -117,8 +117,9 @@ struct StackConfig {
   static StackConfig urllc_design(std::uint64_t seed = 1);
 
   /// Throw std::invalid_argument for a config no run can honour: a null
-  /// `duplex`, `num_ues < 1`, `harq_max_tx < 1`, or `channel_loss` outside
-  /// [0, 1] (NaN included). E2eSystem calls it first; nothing is clamped.
+  /// `duplex`, `num_ues < 1`, `harq_max_tx < 1`, `num_cells < 1`, or
+  /// `channel_loss` outside [0, 1] (NaN included). E2eSystem and
+  /// ShardedEngine call it first; nothing is clamped.
   void validate() const;
 
   // -- Canonical identity ----------------------------------------------------

@@ -1,8 +1,6 @@
 #include "serve/feasibility_service.hpp"
 
-#include <atomic>
 #include <stdexcept>
-#include <utility>
 
 #include "common/rng.hpp"
 #include "core/e2e_system.hpp"
@@ -60,16 +58,8 @@ FeasibilityService::FeasibilityService(Options opt)
       analytic_(opt.analytic_cache_capacity),
       tail_(opt.tail_cache_capacity) {}
 
-FeasibilityService::~FeasibilityService() = default;
-
-ThreadPool& FeasibilityService::pool() {
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(resolve_threads(opt_.threads));
-  return *pool_;
-}
-
 FeasibilityService::TailSamples FeasibilityService::run_tail(const SimTailSpec& spec,
-                                                             AccessMode mode, int sim_threads) {
+                                                             AccessMode mode) {
   if (!spec.config.duplex) {
     throw std::invalid_argument{"SimTailSpec: config.duplex is required"};
   }
@@ -104,7 +94,7 @@ FeasibilityService::TailSamples FeasibilityService::run_tail(const SimTailSpec& 
         out.offered = static_cast<std::size_t>(packets);
         return out;
       },
-      {sim_threads});
+      {opt_.sim_threads});
   TailSamples merged;
   for (TailSamples& part : parts) {
     merged.latency_us.merge(part.latency_us);
@@ -113,7 +103,7 @@ FeasibilityService::TailSamples FeasibilityService::run_tail(const SimTailSpec& 
   return merged;
 }
 
-FeasibilityVerdict FeasibilityService::answer(const FeasibilityQuery& q, int sim_threads) {
+FeasibilityVerdict FeasibilityService::query(const FeasibilityQuery& q) {
   if (!q.duplex) throw std::invalid_argument{"FeasibilityQuery: duplex is required"};
   FeasibilityVerdict v;
   v.mode = q.mode;
@@ -151,7 +141,7 @@ FeasibilityVerdict FeasibilityService::answer(const FeasibilityQuery& q, int sim
       }
     }
     if (!hit) {
-      samples = run_tail(*q.tail, q.mode, sim_threads);
+      samples = run_tail(*q.tail, q.mode);
       std::lock_guard<std::mutex> lk(mu_);
       tail_.insert(tkey, samples);
     }
@@ -170,56 +160,11 @@ FeasibilityVerdict FeasibilityService::answer(const FeasibilityQuery& q, int sim
   return v;
 }
 
-FeasibilityVerdict FeasibilityService::query(const FeasibilityQuery& q) {
-  return answer(q, opt_.sim_threads);
-}
-
-std::future<FeasibilityVerdict> FeasibilityService::query_async(FeasibilityQuery q) {
-  auto task = std::make_shared<std::packaged_task<FeasibilityVerdict()>>(
-      [this, q = std::move(q)] { return answer(q, /*sim_threads=*/1); });
-  std::future<FeasibilityVerdict> fut = task->get_future();
-  pool().submit([task] { (*task)(); });
-  return fut;
-}
-
 std::vector<FeasibilityVerdict> FeasibilityService::query_batch(const QueryBatch& batch) {
-  std::vector<FeasibilityVerdict> out(batch.size());
-  if (batch.empty()) return out;
-  if (batch.size() == 1) {
-    out[0] = answer(batch[0], opt_.sim_threads);
-    return out;
-  }
-  ThreadPool& p = pool();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    p.submit([this, &batch, &out, i] { out[i] = answer(batch[i], /*sim_threads=*/1); });
-  }
-  p.wait_idle();
+  std::vector<FeasibilityVerdict> out;
+  out.reserve(batch.size());
+  for (const FeasibilityQuery& q : batch) out.push_back(query(q));
   return out;
-}
-
-void FeasibilityService::query_batch_async(
-    QueryBatch batch, std::function<void(std::vector<FeasibilityVerdict>)> done) {
-  struct BatchState {
-    QueryBatch batch;
-    std::vector<FeasibilityVerdict> out;
-    std::atomic<std::size_t> remaining;
-    std::function<void(std::vector<FeasibilityVerdict>)> done;
-  };
-  auto st = std::make_shared<BatchState>();
-  st->batch = std::move(batch);
-  st->out.resize(st->batch.size());
-  st->remaining.store(st->batch.size());
-  st->done = std::move(done);
-  if (st->batch.empty()) {
-    pool().submit([st] { st->done(std::move(st->out)); });
-    return;
-  }
-  for (std::size_t i = 0; i < st->batch.size(); ++i) {
-    pool().submit([this, st, i] {
-      st->out[i] = answer(st->batch[i], /*sim_threads=*/1);
-      if (st->remaining.fetch_sub(1) == 1) st->done(std::move(st->out));
-    });
-  }
 }
 
 WorstCaseResult FeasibilityService::worst_case(const DuplexConfig& cfg, AccessMode mode,
@@ -232,7 +177,7 @@ WorstCaseResult FeasibilityService::worst_case(const DuplexConfig& cfg, AccessMo
   q.mode = mode;
   q.model = p;
   q.grid_per_symbol = grid_per_symbol;
-  return answer(q, /*sim_threads=*/1).worst_case;
+  return query(q).worst_case;
 }
 
 FeasibilityColumn FeasibilityService::evaluate_column(const DuplexConfig& cfg, Nanos deadline,

@@ -16,9 +16,11 @@
 //      `StackConfig::canonical_words()` + mode + replication plan. The
 //      cache stores the merged *sample set*, so one sim run answers any
 //      (deadline, quantile) follow-up for the same stack.
-//   3. **Batch + async APIs** — whole sweeps submit as one `QueryBatch`
-//      (one pool job per query, results in request order); single queries
-//      can complete through a `std::future` or a callback.
+//   3. **Batch API** — whole sweeps submit as one `QueryBatch`, answered
+//      one query after another on the calling thread, results in request
+//      order. A batch's cold sim tails fan their replications out as a
+//      single query's do; splitting the batch itself over workers measured
+//      slower (EXPERIMENTS.md, "Batched queries").
 //
 // Thread safety: all public methods may be called concurrently. The caches
 // sit behind one mutex; compute runs outside the lock, so two racing misses
@@ -32,16 +34,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/hashing.hpp"
 #include "common/lru.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "core/feasibility.hpp"
 #include "serve/query.hpp"
 
@@ -52,14 +50,12 @@ class FeasibilityService {
   struct Options {
     std::size_t analytic_cache_capacity = 1 << 16;  ///< worst-case results
     std::size_t tail_cache_capacity = 512;          ///< merged sim sample sets
-    /// Workers for batch/async completion (0 = hardware concurrency). The
-    /// pool spins up lazily on the first batch/async call; purely synchronous
-    /// use never starts a thread.
+    /// Retained for source compatibility: batches run on the calling
+    /// thread, so the service starts no worker of its own.
     int threads = 0;
-    /// Replication fan-out for a *synchronous* query's sim tail (0 =
-    /// hardware concurrency). Batch/async jobs always run their replications
-    /// inline — the batch is already parallel — which the runner contract
-    /// makes bitwise-identical to any other thread count.
+    /// Replication fan-out for a query's sim tail (0 = hardware
+    /// concurrency), in `query` and `query_batch` alike; the runner contract
+    /// makes the answer bitwise-identical at any count.
     int sim_threads = 0;
   };
 
@@ -78,7 +74,6 @@ class FeasibilityService {
 
   FeasibilityService() : FeasibilityService(Options{}) {}
   explicit FeasibilityService(Options opt);
-  ~FeasibilityService();
   FeasibilityService(const FeasibilityService&) = delete;
   FeasibilityService& operator=(const FeasibilityService&) = delete;
 
@@ -88,17 +83,9 @@ class FeasibilityService {
   /// `Options::sim_threads` workers.
   [[nodiscard]] FeasibilityVerdict query(const FeasibilityQuery& q);
 
-  /// Answer one query on the service pool; completion via std::future.
-  [[nodiscard]] std::future<FeasibilityVerdict> query_async(FeasibilityQuery q);
-
-  /// Answer a whole sweep: one pool job per query, verdicts returned in
-  /// request order (batch[i] -> result[i]).
+  /// Answer a whole sweep, one `query` after another on the calling
+  /// thread; verdicts return in request order (batch[i] -> result[i]).
   [[nodiscard]] std::vector<FeasibilityVerdict> query_batch(const QueryBatch& batch);
-
-  /// Batch with callback completion: `done` runs on a pool worker once every
-  /// verdict is in, receiving them in request order.
-  void query_batch_async(QueryBatch batch,
-                         std::function<void(std::vector<FeasibilityVerdict>)> done);
 
   // -- Compatibility surface for the offline wrappers ------------------------
 
@@ -117,8 +104,8 @@ class FeasibilityService {
   [[nodiscard]] Stats stats() const;
 
   /// Process-wide instance behind the thin offline wrappers
-  /// (`evaluate_config`, `build_table1`, `compute_budget`). Lazy; never
-  /// starts threads unless someone uses its batch/async APIs.
+  /// (`evaluate_config`, `build_table1`, `compute_budget`). Lazy; starts
+  /// threads only to fan out a sim tail's replications.
   static FeasibilityService& shared();
 
  private:
@@ -129,17 +116,13 @@ class FeasibilityService {
     std::size_t offered = 0;  ///< replications x packets
   };
 
-  [[nodiscard]] FeasibilityVerdict answer(const FeasibilityQuery& q, int sim_threads);
-  [[nodiscard]] TailSamples run_tail(const SimTailSpec& spec, AccessMode mode, int sim_threads);
-  [[nodiscard]] ThreadPool& pool();
+  [[nodiscard]] TailSamples run_tail(const SimTailSpec& spec, AccessMode mode);
 
   Options opt_;
   mutable std::mutex mu_;  ///< guards caches_, stats_
   LruCache<CanonicalWords, WorstCaseResult, CanonicalWordsHash> analytic_;
   LruCache<CanonicalWords, TailSamples, CanonicalWordsHash> tail_;
   std::uint64_t queries_ = 0;
-  std::mutex pool_mu_;  ///< guards lazy pool_ creation
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace u5g

@@ -17,9 +17,9 @@
 //     spikes, loss — from cached fixed-seed E2eSystem replications keyed on
 //     `StackConfig::canonical_key()`.
 //
-// A query is a value; batches are vectors of values. Completion is sync
-// (`query`), future-based (`query_async`) or callback-based
-// (`query_batch_async`) — see serve/feasibility_service.hpp.
+// A query is a value; batches are vectors of values. Both entry points are
+// synchronous: `query` answers one, `query_batch` answers a batch in
+// request order — see serve/feasibility_service.hpp.
 
 #include <cstdint>
 #include <memory>

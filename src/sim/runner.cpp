@@ -3,7 +3,7 @@
 namespace u5g {
 
 int resolve_threads(int requested) {
-  return requested >= 1 ? requested : ThreadPool::hardware_threads();
+  return requested >= 1 ? requested : Crew::hardware_threads();
 }
 
 }  // namespace u5g

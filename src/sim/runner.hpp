@@ -3,7 +3,8 @@
 //
 // Tail reliability (99.999 % at a 0.5 ms deadline, §6) is sample-hungry:
 // every bench runs many independent E2eSystem replications. The harness fans
-// those replications across a fixed-size thread pool with deterministic
+// those replications across a Crew (common/crew.hpp) — worker w runs the
+// contiguous index slice [n·w/W, n·(w+1)/W) — with deterministic
 // per-replication seeds derived from one root seed (a SplitMix64 stream), and
 // collects results into index-ordered storage so the merged statistics are
 // bitwise-independent of the thread count: running at T=1, T=2, or T=8
@@ -17,12 +18,13 @@
 //   * replication bodies share no mutable state (each builds its own
 //     E2eSystem / Rng from the seed it is handed).
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "common/crew.hpp"
 
 namespace u5g {
 
@@ -53,7 +55,8 @@ struct RunnerOptions {
 /// workers. Returns results in replication-index order. `fn` must be
 /// invocable concurrently from multiple threads (share nothing mutable);
 /// its result type must be default-constructible and movable. With one
-/// worker (or n <= 1) everything runs inline on the calling thread.
+/// worker (or n <= 1) everything runs on the calling thread. A replication's
+/// exception propagates after every slice has finished, first in index order.
 template <typename Fn>
 auto run_replications(int n, std::uint64_t root_seed, Fn&& fn, RunnerOptions opt = {})
     -> std::vector<std::invoke_result_t<Fn&, int, std::uint64_t>> {
@@ -62,21 +65,12 @@ auto run_replications(int n, std::uint64_t root_seed, Fn&& fn, RunnerOptions opt
                 "run_replications: result type must be default-constructible");
   if (n <= 0) return {};
   std::vector<Result> out(static_cast<std::size_t>(n));
-  const int threads = std::min(resolve_threads(opt.threads), n);
-  if (threads <= 1) {
-    for (int i = 0; i < n; ++i) {
-      out[static_cast<std::size_t>(i)] = fn(i, replication_seed(root_seed, static_cast<std::uint64_t>(i)));
+  Crew crew(std::min(resolve_threads(opt.threads), n));
+  crew.parallel_for(out.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      out[i] = fn(static_cast<int>(i), replication_seed(root_seed, i));
     }
-    return out;
-  }
-  ThreadPool pool(threads);
-  for (int i = 0; i < n; ++i) {
-    pool.submit([&out, &fn, root_seed, i] {
-      out[static_cast<std::size_t>(i)] =
-          fn(i, replication_seed(root_seed, static_cast<std::uint64_t>(i)));
-    });
-  }
-  pool.wait_idle();
+  });
   return out;
 }
 

@@ -1,94 +1,16 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
-#include <barrier>
-#include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
+#include "common/crew.hpp"
 #include "sim/runner.hpp"
 
 namespace u5g {
 
-// ShardCrew: persistent window-execution threads over a static partition.
-//
-// The engine thread is worker 0; `width - 1` helpers live as long as the
-// crew. Each window, worker w advances the contiguous slice
-// [n·w/width, n·(w+1)/width) of the dispatch list (empty when fewer cells
-// are active than workers). `start_` publishes the descriptor the engine
-// wrote before arriving and `done_` hands the finished cells back; barrier
-// completion orders those writes, so no lock or atomic guards them. Which
-// slice holds a cell decides its thread, never its state, and a width-1
-// crew's barriers complete on arrival: one path for every worker count.
-// A cell's exception is caught in its worker, which still reaches `done_`;
-// run() rethrows the first in cell order, so no helper is ever left inside
-// a window and the destructor can always release them through `start_`.
-class ShardCrew {
- public:
-  explicit ShardCrew(int width)
-      : width_(width), start_(width), done_(width), errors_(static_cast<std::size_t>(width)) {
-    for (int w = 1; w < width; ++w) {
-      helpers_.emplace_back([this, w] {
-        for (;;) {
-          start_.arrive_and_wait();
-          if (stop_) return;
-          work(w);
-          done_.arrive_and_wait();
-        }
-      });
-    }
-  }
-
-  ~ShardCrew() {
-    stop_ = true;
-    start_.arrive_and_wait();
-    for (auto& t : helpers_) t.join();
-  }
-
-  [[nodiscard]] int width() const { return width_; }
-
-  /// Advance items[0..n) to `to`; returns once every slice has run.
-  void run(Cell* const* items, std::size_t n, Nanos to) {
-    items_ = items;
-    n_ = n;
-    to_ = to;
-    std::fill(errors_.begin(), errors_.end(), nullptr);
-    start_.arrive_and_wait();
-    work(0);
-    done_.arrive_and_wait();
-    for (const auto& e : errors_) {
-      if (e) std::rethrow_exception(e);
-    }
-  }
-
- private:
-  void work(int w) {
-    const auto width = static_cast<std::size_t>(width_);
-    const std::size_t lo = n_ * static_cast<std::size_t>(w) / width;
-    const std::size_t hi = n_ * static_cast<std::size_t>(w + 1) / width;
-    try {
-      for (std::size_t i = lo; i < hi; ++i) items_[i]->advance_to(to_);
-    } catch (...) {
-      errors_[static_cast<std::size_t>(w)] = std::current_exception();
-    }
-  }
-
-  const int width_;
-  std::barrier<> start_;
-  std::barrier<> done_;
-  // Window descriptor: written by the engine before `start_`.
-  Cell* const* items_ = nullptr;
-  std::size_t n_ = 0;
-  Nanos to_{};
-  bool stop_ = false;
-  std::vector<std::exception_ptr> errors_;  ///< one per worker, cleared before `start_`
-  std::vector<std::thread> helpers_;
-};
-
 ShardedEngine::ShardedEngine(const StackConfig& base, ShardedOptions opt) : base_(base) {
-  if (!base_.duplex) throw std::invalid_argument{"ShardedEngine: duplex config required"};
-  if (base_.num_cells < 1) throw std::invalid_argument{"ShardedEngine: num_cells must be >= 1"};
+  base_.validate();
   slot_ = base_.duplex->numerology().slot_duration();
   cells_.reserve(static_cast<std::size_t>(base_.num_cells));
   for (int i = 0; i < base_.num_cells; ++i) {
@@ -97,7 +19,7 @@ ShardedEngine::ShardedEngine(const StackConfig& base, ShardedOptions opt) : base
   active_.reserve(cells_.size());
   load_.resize(cells_.size());
   xlink_.resize(cells_.size());
-  crew_ = std::make_unique<ShardCrew>(std::min(resolve_threads(opt.threads), base_.num_cells));
+  crew_ = std::make_unique<Crew>(std::min(resolve_threads(opt.threads), base_.num_cells));
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -127,7 +49,9 @@ void ShardedEngine::advance_all(Nanos to, bool filter_idle) {
   for (auto& c : cells_) {
     if (!filter_idle || c->next_activity() <= to) active_.push_back(c.get());
   }
-  crew_->run(active_.data(), active_.size(), to);
+  crew_->parallel_for(active_.size(), [this, to](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) active_[i]->advance_to(to);
+  });
 }
 
 void ShardedEngine::exchange_load() {

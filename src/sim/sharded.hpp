@@ -28,12 +28,11 @@
 //     inter-cell load signal scales neighbours' gNB processing through
 //     `intercell_load_coupling` × `gnb_load_factor_per_ue` at each barrier.
 //
-// Execution model: a persistent ShardCrew (sharded.cpp) of `threads`
+// Execution model: a persistent Crew (common/crew.hpp) of `threads`
 // workers, the engine thread being worker 0. Each window the engine builds
-// the dispatch list, worker w advances the contiguous slice
-// [n·w/W, n·(w+1)/W) of it, and two std::barrier phases (start, done)
-// separate consecutive windows. A 1-worker crew has no helper threads and
-// runs the same code path.
+// the dispatch list and makes one parallel_for over it: worker w advances
+// the cells of the contiguous slice [n·w/W, n·(w+1)/W) in a plain loop. A
+// 1-worker crew has no helper threads and runs the same code path.
 //
 // Determinism contract (matching sim/runner.hpp): cell i always receives
 // `cell_seed(seed, i)`; shards share no mutable state inside a window
@@ -53,7 +52,7 @@
 
 namespace u5g {
 
-class ShardCrew;
+class Crew;
 
 struct ShardedOptions {
   int threads = 0;  ///< worker count; 0 = hardware concurrency
@@ -133,7 +132,7 @@ class ShardedEngine {
   StackConfig base_;
   Nanos slot_;
   std::vector<std::unique_ptr<Cell>> cells_;
-  std::unique_ptr<ShardCrew> crew_;  ///< window workers, engine thread included
+  std::unique_ptr<Crew> crew_;       ///< window workers, engine thread included
   std::vector<Cell*> active_;        ///< window dispatch list, storage reused
   std::vector<double> load_;         ///< barrier scratch, storage reused
   std::vector<double> xlink_;        ///< barrier scratch: DL-upgrade activity

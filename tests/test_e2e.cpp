@@ -237,6 +237,9 @@ TEST(StackConfigTest, ValidateRejectsNonPositiveCountsOfAnyMagnitude) {
     StackConfig harq = StackConfig::testbed_grant_based();
     harq.harq_max_tx = bad;
     EXPECT_THROW(harq.validate(), std::invalid_argument) << "harq_max_tx=" << bad;
+    StackConfig cells = StackConfig::testbed_grant_based();
+    cells.num_cells = bad;
+    EXPECT_THROW(cells.validate(), std::invalid_argument) << "num_cells=" << bad;
   }
   StackConfig big = StackConfig::testbed_grant_based();
   big.num_ues = 4096;

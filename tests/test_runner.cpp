@@ -1,4 +1,4 @@
-// Tests for the parallel Monte-Carlo harness: thread pool, seed derivation,
+// Tests for the parallel Monte-Carlo harness: the fork-join crew, seed derivation,
 // mergeable accumulators, and the determinism contract — merged statistics
 // are bitwise-identical across thread counts {1, 2, 8} and identical to a
 // plain serial loop over the same per-replication seeds (including a golden
@@ -6,16 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/crew.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "core/design_space.hpp"
 #include "core/e2e_system.hpp"
 #include "sim/runner.hpp"
@@ -26,40 +31,109 @@ namespace {
 using namespace u5g::literals;
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// Crew
 
-TEST(ThreadPoolTest, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+/// Run one parallel_for over [0, n) and return how often each index was hit.
+std::vector<int> visit_counts(Crew& crew, std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  crew.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
+  std::vector<int> out;
+  out.reserve(n);
+  for (const std::atomic<int>& h : hits) out.push_back(h.load());
+  return out;
 }
 
-TEST(ThreadPoolTest, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 3);
+TEST(CrewTest, VisitsEveryIndexExactlyOnce) {
+  for (const int width : {1, 2, 4, 8}) {
+    Crew crew(width);
+    ASSERT_EQ(width, crew.width());
+    const auto w = static_cast<std::size_t>(width);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, w - 1, w + 1, std::size_t{1000}}) {
+      EXPECT_EQ(std::vector<int>(n, 1), visit_counts(crew, n)) << "width=" << width << " n=" << n;
+    }
+  }
 }
 
-TEST(ThreadPoolTest, PropagatesJobException) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.submit([] { throw std::runtime_error{"boom"}; });
-  for (int i = 0; i < 10; ++i) pool.submit([&ran] { ++ran; });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 10);  // remaining jobs still ran
+TEST(CrewTest, SlicesFollowTheStaticPartition) {
+  // Worker w owns [n·w/W, n·(w+1)/W): slices are contiguous, ordered and
+  // disjoint, and their bounds depend only on (n, W).
+  Crew crew(4);
+  std::mutex m;
+  std::vector<std::pair<std::size_t, std::size_t>> slices;
+  crew.parallel_for(10, [&](std::size_t lo, std::size_t hi) {
+    std::lock_guard<std::mutex> lk(m);
+    slices.emplace_back(lo, hi);
+  });
+  std::sort(slices.begin(), slices.end());
+  const std::vector<std::pair<std::size_t, std::size_t>> want{{0, 2}, {2, 5}, {5, 7}, {7, 10}};
+  EXPECT_EQ(want, slices);
 }
 
-TEST(ThreadPoolTest, HardwareThreadsAtLeastOne) {
-  EXPECT_GE(ThreadPool::hardware_threads(), 1);
+TEST(CrewTest, OneCrewServesManyRuns) {
+  Crew crew(4);
+  std::atomic<std::size_t> total{0};
+  for (int run = 0; run < 100; ++run) {
+    crew.parallel_for(static_cast<std::size_t>(run), [&](std::size_t lo, std::size_t hi) {
+      total += hi - lo;
+    });
+  }
+  EXPECT_EQ(99u * 100u / 2u, total.load());
 }
+
+TEST(CrewTest, WidthOneRunsOnTheCallingThread) {
+  Crew crew(1);
+  std::vector<std::thread::id> ids;
+  crew.parallel_for(5, [&](std::size_t, std::size_t) {
+    ids.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(std::vector<std::thread::id>{std::this_thread::get_id()}, ids);
+}
+
+TEST(CrewTest, FirstErrorInSliceOrderAfterEverySliceFinished) {
+  // At width 4 over n = 8 the slices are [0,2) [2,4) [4,6) [6,8). Index k
+  // throws; every other slice must still run to completion, the throw must
+  // reach the caller, and the crew must work afterwards.
+  constexpr std::size_t kN = 8;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
+    Crew crew(4);
+    const std::size_t slice_lo = k / 2 * 2;
+    std::vector<std::atomic<int>> hits(kN);
+    try {
+      crew.parallel_for(kN, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (i == k) throw std::runtime_error{"index " + std::to_string(i)};
+          ++hits[i];
+        }
+      });
+      ADD_FAILURE() << "k=" << k << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ("index " + std::to_string(k), e.what());
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (i >= slice_lo && i < slice_lo + 2) continue;  // the throwing slice
+      EXPECT_EQ(1, hits[i].load()) << "k=" << k << " i=" << i;
+    }
+    EXPECT_EQ(std::vector<int>(kN, 1), visit_counts(crew, kN)) << "k=" << k;
+  }
+}
+
+TEST(CrewTest, EarlierSliceErrorWins) {
+  // Slices 1 and 3 both throw; the caller sees slice 1's error, whatever
+  // finished first.
+  Crew crew(4);
+  try {
+    crew.parallel_for(4, [](std::size_t lo, std::size_t) {
+      if (lo % 2 == 1) throw std::runtime_error{"slice " + std::to_string(lo)};
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ("slice 1", e.what());
+  }
+}
+
+TEST(CrewTest, HardwareThreadsAtLeastOne) { EXPECT_GE(Crew::hardware_threads(), 1); }
 
 // ---------------------------------------------------------------------------
 // Seed derivation

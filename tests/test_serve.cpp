@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/hashing.hpp"
@@ -317,10 +317,13 @@ TEST(FeasibilityServiceTest, DeadlineDoesNotMissTheCache) {
   EXPECT_TRUE(v.analytic_cache_hit);  // the worst case is deadline-free
 }
 
-TEST(FeasibilityServiceTest, BatchAndAsyncMatchSync) {
-  FeasibilityService service;
-  std::vector<std::shared_ptr<const DuplexConfig>> cfgs;
-  for (auto& c : table1_configs()) cfgs.emplace_back(std::move(c));
+/// The Table 1 batch: every candidate pattern under every access mode.
+QueryBatch table1_batch() {
+  static const std::vector<std::shared_ptr<const DuplexConfig>> cfgs = [] {
+    std::vector<std::shared_ptr<const DuplexConfig>> v;
+    for (auto& c : table1_configs()) v.emplace_back(std::move(c));
+    return v;
+  }();
   QueryBatch batch;
   for (const auto& cfg : cfgs) {
     for (AccessMode m :
@@ -328,29 +331,46 @@ TEST(FeasibilityServiceTest, BatchAndAsyncMatchSync) {
       batch.push_back(FeasibilityQuery::analytic(cfg, m));
     }
   }
+  return batch;
+}
+
+std::vector<FeasibilityVerdict> answer_one_by_one(const QueryBatch& batch) {
   FeasibilityService fresh;
   std::vector<FeasibilityVerdict> sync;
   sync.reserve(batch.size());
   for (const FeasibilityQuery& q : batch) sync.push_back(fresh.query(q));
+  return sync;
+}
 
+TEST(FeasibilityServiceTest, BatchMatchesSync) {
+  const QueryBatch batch = table1_batch();
+  const std::vector<FeasibilityVerdict> sync = answer_one_by_one(batch);
+  FeasibilityService service;
   const std::vector<FeasibilityVerdict> batched = service.query_batch(batch);
   ASSERT_EQ(batched.size(), sync.size());
   for (std::size_t i = 0; i < sync.size(); ++i) {
     EXPECT_TRUE(same_worst_case(batched[i].worst_case, sync[i].worst_case));
     EXPECT_EQ(batched[i].meets_deadline, sync[i].meets_deadline);
   }
+}
 
-  std::future<FeasibilityVerdict> fut = service.query_async(batch[0]);
-  EXPECT_TRUE(same_worst_case(fut.get().worst_case, sync[0].worst_case));
-
-  std::promise<std::vector<FeasibilityVerdict>> done;
-  auto done_fut = done.get_future();
-  service.query_batch_async(
-      batch, [&done](std::vector<FeasibilityVerdict> vs) { done.set_value(std::move(vs)); });
-  const std::vector<FeasibilityVerdict> cb = done_fut.get();
-  ASSERT_EQ(cb.size(), sync.size());
-  for (std::size_t i = 0; i < sync.size(); ++i) {
-    EXPECT_TRUE(same_worst_case(cb[i].worst_case, sync[i].worst_case));
+TEST(FeasibilityServiceTest, ConcurrentBatchesMatchSync) {
+  // Two racing callers share one service's caches; each must get its
+  // full, request-ordered answer.
+  const QueryBatch batch = table1_batch();
+  const std::vector<FeasibilityVerdict> sync = answer_one_by_one(batch);
+  FeasibilityService service;
+  std::vector<FeasibilityVerdict> got[2];
+  std::thread a([&] { got[0] = service.query_batch(batch); });
+  std::thread b([&] { got[1] = service.query_batch(batch); });
+  a.join();
+  b.join();
+  for (const std::vector<FeasibilityVerdict>& vs : got) {
+    ASSERT_EQ(vs.size(), sync.size());
+    for (std::size_t i = 0; i < sync.size(); ++i) {
+      EXPECT_TRUE(same_worst_case(vs[i].worst_case, sync[i].worst_case)) << i;
+      EXPECT_EQ(vs[i].meets_deadline, sync[i].meets_deadline) << i;
+    }
   }
 }
 

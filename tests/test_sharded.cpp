@@ -214,6 +214,14 @@ TEST(ShardedEngineTest, RejectsInjectionBehindTheFrontier) {
   eng.send_uplink_at(Nanos{10'000'000}, 1, 0);  // at the frontier or later: fine
 }
 
+TEST(ShardedEngineTest, RejectsZeroCells) {
+  // The engine validates its base config, so a cell count no run can
+  // honour fails like any other invalid StackConfig field.
+  StackConfig cfg = StackConfig::testbed_grant_free(/*seed=*/3);
+  cfg.num_cells = 0;
+  EXPECT_THROW(ShardedEngine(cfg, ShardedOptions{2}), std::invalid_argument);
+}
+
 TEST(ShardedEngineTest, TraceLanesExportOneProcessPerCell) {
   StackConfig cfg = StackConfig::testbed_grant_free(/*seed=*/9);
   cfg.num_cells = 2;
