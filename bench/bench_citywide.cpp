@@ -71,9 +71,10 @@ Row run_row(std::uint64_t seed, int cells, int bg_ues, int packets, int threads)
   ShardedEngine eng(cfg, ShardedOptions{threads});
   for (int c = 0; c < cells; ++c) {
     for (int p = 0; p < packets; ++p) {
-      const Nanos at{(splitmix64(seed ^ (static_cast<std::uint64_t>(c) * 1000003ULL +
-                                         static_cast<std::uint64_t>(p))) %
-                      static_cast<std::uint64_t>(kHorizon.count() / 2))};
+      const std::uint64_t h = splitmix64(seed ^ (static_cast<std::uint64_t>(c) * 1000003ULL +
+                                                 static_cast<std::uint64_t>(p)));
+      const auto half = static_cast<std::uint64_t>(kHorizon.count() / 2);
+      const Nanos at{static_cast<std::int64_t>(h % half)};
       eng.send_uplink_at(at, c, 0);
     }
   }

@@ -14,7 +14,6 @@
 #include "common/table.hpp"
 #include "core/feasibility.hpp"
 #include "serve/feasibility_service.hpp"
-#include "tdd/mini_slot.hpp"
 
 using namespace u5g;
 
@@ -73,33 +72,8 @@ int main(int argc, char** argv) {
 
   // The whole table as one QueryBatch against the feasibility-query service:
   // 5 candidate configurations x 3 access modes, answers in request order.
-  // Bit-identical to the historical build_table1() because the service runs
-  // the same analytic worst-case search once and memoizes it.
-  std::vector<std::shared_ptr<const DuplexConfig>> cfgs;
-  for (auto& c : table1_configs()) cfgs.emplace_back(std::move(c));
-  constexpr AccessMode kModes[] = {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl,
-                                   AccessMode::Downlink};
-  QueryBatch batch;
-  for (const auto& cfg : cfgs) {
-    for (AccessMode m : kModes) batch.push_back(FeasibilityQuery::analytic(cfg, m));
-  }
-  FeasibilityService& service = FeasibilityService::shared();
-  const std::vector<FeasibilityVerdict> verdicts = service.query_batch(batch);
-
-  Table1 table;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    FeasibilityColumn col;
-    col.config_name = cfgs[i]->name();
-    col.period_render = cfgs[i]->render_period();
-    for (std::size_t j = 0; j < 3; ++j) {
-      const FeasibilityVerdict& v = verdicts[3 * i + j];
-      col.cells.push_back({v.mode, v.worst_case, v.deadline, v.meets_deadline});
-    }
-    if (const auto* ms = dynamic_cast<const MiniSlotConfig*>(cfgs[i].get())) {
-      col.standards_caveat = ms->violates_standard_recommendation();
-    }
-    table.columns.push_back(std::move(col));
-  }
+  const Table1 table = build_table1();
+  const FeasibilityService& service = FeasibilityService::shared();
 
   std::printf("-- Fig 1-style slot maps (one char per symbol, '|' separates slots) --\n");
   for (const FeasibilityColumn& col : table.columns) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/latency_model.hpp"
-#include "phy/band.hpp"
 #include "tdd/duplex_config.hpp"
 
 namespace u5g {

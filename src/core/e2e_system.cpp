@@ -68,7 +68,7 @@ struct E2eSystem::Impl {
     UeCtx(int idx, const StackConfig& cfg, Rng rng)
         : index(idx),
           id(static_cast<std::uint32_t>(idx + 1)),
-          stack(cfg.ue_proc, cfg.ue_radio, cfg.phy, cfg.rlc_mode, rng.fork(), 1,
+          stack(cfg.ue_proc, cfg.ue_radio, cfg.phy, rng.fork(), 1,
                 static_cast<std::uint32_t>(idx + 1)),
           sr(cfg.sr),
           // Stagger periodic configured grants so pre-allocations do not
@@ -204,7 +204,7 @@ struct E2eSystem::Impl {
         owner(own),
         dyn(wrap_dynamic(cfg)),
         rng(cfg.seed),
-        gnb(cfg.gnb_proc, cfg.gnb_radio, cfg.phy, cfg.rlc_mode, rng.fork(), cfg.num_ues),
+        gnb(cfg.gnb_proc, cfg.gnb_radio, cfg.phy, rng.fork(), cfg.num_ues),
         upf(cfg.upf, rng.fork()),
         sched(*cfg.duplex, cfg.sched),
         // Fault streams derive from (seed, scenario index) via a dedicated

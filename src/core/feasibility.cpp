@@ -16,11 +16,6 @@ const FeasibilityCell& FeasibilityColumn::cell(AccessMode m) const {
   throw std::out_of_range{"FeasibilityColumn: mode not evaluated"};
 }
 
-FeasibilityColumn evaluate_config(const DuplexConfig& cfg, Nanos deadline,
-                                  const LatencyModelParams& p) {
-  return FeasibilityService::shared().evaluate_column(cfg, deadline, p);
-}
-
 std::vector<std::unique_ptr<DuplexConfig>> table1_configs() {
   std::vector<std::unique_ptr<DuplexConfig>> cfgs;
   cfgs.push_back(std::make_unique<TddCommonConfig>(TddCommonConfig::du(kMu2)));
@@ -32,9 +27,29 @@ std::vector<std::unique_ptr<DuplexConfig>> table1_configs() {
 }
 
 Table1 build_table1(Nanos deadline, const LatencyModelParams& p) {
+  constexpr AccessMode kModes[] = {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl,
+                                   AccessMode::Downlink};
+  std::vector<std::shared_ptr<const DuplexConfig>> cfgs;
+  for (auto& c : table1_configs()) cfgs.emplace_back(std::move(c));
+  QueryBatch batch;
+  for (const auto& cfg : cfgs) {
+    for (AccessMode m : kModes) batch.push_back(FeasibilityQuery::analytic(cfg, m, deadline, p));
+  }
+  const std::vector<FeasibilityVerdict> verdicts = FeasibilityService::shared().query_batch(batch);
+
   Table1 t;
-  for (const auto& cfg : table1_configs()) {
-    t.columns.push_back(evaluate_config(*cfg, deadline, p));
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    FeasibilityColumn col;
+    col.config_name = cfgs[i]->name();
+    col.period_render = cfgs[i]->render_period();
+    for (std::size_t j = 0; j < std::size(kModes); ++j) {
+      const FeasibilityVerdict& v = verdicts[std::size(kModes) * i + j];
+      col.cells.push_back({v.mode, v.worst_case, v.deadline, v.meets_deadline});
+    }
+    if (const auto* ms = dynamic_cast<const MiniSlotConfig*>(cfgs[i].get())) {
+      col.standards_caveat = ms->violates_standard_recommendation();
+    }
+    t.columns.push_back(std::move(col));
   }
   return t;
 }

@@ -29,18 +29,12 @@ struct FeasibilityColumn {
   [[nodiscard]] const FeasibilityCell& cell(AccessMode m) const;
 };
 
-/// Evaluate one configuration against `deadline` for all three access modes.
-/// Thin wrapper over `FeasibilityService::shared().evaluate_column` (see
-/// serve/feasibility_service.hpp) — the service is the one feasibility entry
-/// point; this name survives for offline/batch callers and stays bit-identical
-/// to the service's answers because it *is* the service's answer.
-[[nodiscard]] FeasibilityColumn evaluate_config(const DuplexConfig& cfg, Nanos deadline,
-                                                const LatencyModelParams& p = {});
-
 /// The five §5 candidates at numerology µ2 (the only FR1 numerology that can
-/// meet URLLC, per the paper's PHY analysis): DU, DM, MU, Mini-slot, FDD.
-/// Owning handles + evaluated columns — Table 1 end to end. Wrapper over the
-/// feasibility-query service, like `evaluate_config`.
+/// meet URLLC, per the paper's PHY analysis): DU, DM, MU, Mini-slot, FDD,
+/// each evaluated against `deadline` for all three access modes — Table 1
+/// end to end. The table's 15 cells go to `FeasibilityService::shared()` as
+/// one `query_batch` (serve/feasibility_service.hpp), so every cell is the
+/// service's answer; cells are in GrantBasedUl, GrantFreeUl, Downlink order.
 struct Table1 {
   std::vector<FeasibilityColumn> columns;
 };

@@ -2,17 +2,6 @@
 
 namespace u5g {
 
-std::optional<TxWindow> nth_ul_window(const DuplexConfig& cfg, Nanos t, int n_symbols, int k) {
-  std::optional<TxWindow> w;
-  Nanos from = t;
-  for (int i = 0; i < k; ++i) {
-    w = next_ul_tx(cfg, from, n_symbols);
-    if (!w) return std::nullopt;
-    from = w->end;
-  }
-  return w;
-}
-
 double residual_loss(const ReliabilitySchemeParams& p) {
   // P(all attempts fail): each attempt a fails with the soft-combined BLER
   // effective_bler(p, a), conditioned on the previous failures (which is how

@@ -15,7 +15,6 @@
 // a real duplex configuration, plus a Monte-Carlo sampler used by the bench.
 
 #include <cassert>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,11 +38,6 @@ namespace u5g {
   for (int i = 1; i < attempt; ++i) b *= per_attempt_factor;
   return b;
 }
-
-/// The k-th uplink window (1-based) of `n_symbols` at or after `t`,
-/// windows packed back-to-back (a repetition bundle's k-th leg).
-[[nodiscard]] std::optional<TxWindow> nth_ul_window(const DuplexConfig& cfg, Nanos t,
-                                                    int n_symbols, int k);
 
 struct ReliabilitySchemeParams {
   double per_tx_bler = 0.1;          ///< first-transmission block error rate

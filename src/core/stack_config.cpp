@@ -91,9 +91,9 @@ void append(CanonicalWords& w, const FaultScenario& s) {
 }  // namespace
 
 void StackConfig::append_canonical_words(CanonicalWords& w) const {
-  // Field order is the identity contract: append-only, never reorder —
-  // a stored canonical_key stays comparable across builds that do not add
-  // knobs. New fields go at the end.
+  // Every knob appears once, in a fixed order. Streams are compared only
+  // within one process (the feasibility service's tail cache); nothing
+  // stores one, so the order may change between builds.
   w.add_bool(duplex != nullptr);
   if (duplex) duplex->append_value_words(w);
   w.add_bool(grant_free);
@@ -137,7 +137,6 @@ void StackConfig::append_canonical_words(CanonicalWords& w) const {
   append(w, upf.backhaul_latency);
   w.add_double(upf.embb_load);
   append(w, upf.embb_queue_mean);
-  w.add_signed(static_cast<int>(rlc_mode));
   w.add_double(channel_loss);
   append(w, pdcp_t_reordering);
   w.add_bool(blockage.has_value());
@@ -178,14 +177,6 @@ void StackConfig::append_canonical_words(CanonicalWords& w) const {
   append(w, lbt.tx_gap);
 }
 
-CanonicalWords StackConfig::canonical_words() const {
-  CanonicalWords w;
-  append_canonical_words(w);
-  return w;
-}
-
-std::uint64_t StackConfig::canonical_key() const { return canonical_words().hash(); }
-
 void StackConfig::validate() const {
   if (!duplex) throw std::invalid_argument{"StackConfig: duplex config required"};
   if (num_ues < 1) throw std::invalid_argument{"StackConfig: num_ues must be >= 1"};
@@ -194,10 +185,6 @@ void StackConfig::validate() const {
   if (!(channel_loss >= 0.0 && channel_loss <= 1.0)) {
     throw std::invalid_argument{"StackConfig: channel_loss must lie in [0, 1]"};
   }
-}
-
-bool operator==(const StackConfig& a, const StackConfig& b) {
-  return a.canonical_words() == b.canonical_words();
 }
 
 StackConfig StackConfig::urllc_design(std::uint64_t seed) {

@@ -24,7 +24,6 @@
 #include "phy/lbt.hpp"
 #include "phy/phy_timing.hpp"
 #include "radio/radio_head.hpp"
-#include "rlc/rlc_entity.hpp"
 #include "tdd/duplex_config.hpp"
 #include "tdd/dynamic_format.hpp"
 #include "trace/trace.hpp"
@@ -64,7 +63,6 @@ struct StackConfig {
   RadioHeadParams ue_radio = RadioHeadParams::pcie_sdr();  ///< modem: ASIC radio path
   PhyTimingParams phy = PhyTimingParams::software_i7();
   UpfParams upf = UpfParams::dedicated_urllc();
-  RlcMode rlc_mode = RlcMode::UM;
   double channel_loss = 0.0;      ///< per-transmission loss probability
   /// PDCP t-Reordering: bound on how long the receiver holds out-of-order
   /// PDUs waiting for a missing COUNT before flushing past the gap.
@@ -127,24 +125,10 @@ struct StackConfig {
   // identical simulations: every knob participates by value, including the
   // `duplex` handle, which is compared by its observable direction map
   // (DuplexConfig::append_value_words) — never by pointer. This is what the
-  // feasibility-query service (src/serve/) keys its replication cache on,
-  // and the first way two configs can be compared at all.
+  // feasibility-query service (src/serve/) keys its replication cache on.
 
   /// Flatten every field into the canonical word stream (exact identity).
   void append_canonical_words(CanonicalWords& words) const;
-  /// The full word stream as a value (LRU key material).
-  [[nodiscard]] CanonicalWords canonical_words() const;
-  /// Stable 64-bit key folded from the word stream. Equal configs always
-  /// collide; unequal configs collide with probability ~2^-64.
-  [[nodiscard]] std::uint64_t canonical_key() const;
-
-  /// Deep value equality over the canonical word stream (exact, collision-
-  /// free — two distinct shared_ptr instances to equal duplex patterns
-  /// compare equal).
-  friend bool operator==(const StackConfig& a, const StackConfig& b);
 };
-
-/// Historic name of the aggregate config, kept as an alias.
-using E2eConfig = StackConfig;
 
 }  // namespace u5g

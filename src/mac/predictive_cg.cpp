@@ -42,10 +42,4 @@ std::optional<UlGrant> PredictiveConfiguredGrant::plan_next_occasion(const Duple
   return UlGrant{ue_, w->start, w->end, tb_bytes_, HarqId{0}, true};
 }
 
-double PredictiveConfiguredGrant::reserved_windows_per_second() const {
-  const Nanos period = predictor_.period_estimate();
-  if (period <= Nanos::zero()) return 0.0;
-  return 1e9 / static_cast<double>(period.count());
-}
-
 }  // namespace u5g

@@ -72,10 +72,6 @@ class PredictiveConfiguredGrant {
   [[nodiscard]] std::optional<UlGrant> plan_next_occasion(const DuplexConfig& cfg,
                                                           Nanos now) const;
 
-  /// Windows this scheme reserves per second once warmed up: exactly the
-  /// arrival rate (one per predicted packet) — the §9 waste reduction.
-  [[nodiscard]] double reserved_windows_per_second() const;
-
  private:
   UeId ue_;
   int tx_symbols_;

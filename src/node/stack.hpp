@@ -24,8 +24,8 @@ namespace u5g {
 /// receiver; both ends construct the same BearerChain shape (keyed by the
 /// same security context) and use the half that applies.
 struct BearerChain {
-  explicit BearerChain(RlcMode mode, PdcpConfig pdcp_cfg = {})
-      : pdcp_tx(pdcp_cfg), pdcp_rx(pdcp_cfg), rlc_tx(mode), rlc_rx(mode) {}
+  explicit BearerChain(PdcpConfig pdcp_cfg = {})
+      : pdcp_tx(pdcp_cfg), pdcp_rx(pdcp_cfg), rlc_tx(RlcMode::UM), rlc_rx(RlcMode::UM) {}
 
   PdcpTx pdcp_tx;
   PdcpRx pdcp_rx;
@@ -62,15 +62,15 @@ struct NodeStack {
   /// UE ids [first_peer_id, first_peer_id + peer_count); a UE builds its
   /// single pair with its own id so both ends agree.
   NodeStack(ProcessingProfile proc_profile, RadioHeadParams radio_params,
-            PhyTimingParams phy_params, RlcMode rlc_mode, Rng rng, int peer_count = 1,
+            PhyTimingParams phy_params, Rng rng, int peer_count = 1,
             std::uint32_t first_peer_id = 1)
       : compute(proc_profile, radio_params, phy_params, rng.fork()) {
     uplink_chains.reserve(static_cast<std::size_t>(peer_count));
     downlink_chains.reserve(static_cast<std::size_t>(peer_count));
     for (int ue = 0; ue < peer_count; ++ue) {
       const auto id = first_peer_id + static_cast<std::uint32_t>(ue);
-      uplink_chains.emplace_back(rlc_mode, bearer_pdcp_config(id, false));
-      downlink_chains.emplace_back(rlc_mode, bearer_pdcp_config(id, true));
+      uplink_chains.emplace_back(bearer_pdcp_config(id, false));
+      downlink_chains.emplace_back(bearer_pdcp_config(id, true));
     }
     // Warm the calling thread's buffer pool: typical URLLC payloads plus
     // their header stacks land in the 512-byte class, transport blocks in

@@ -106,8 +106,8 @@ std::uint32_t integrity_tag(std::span<const std::uint8_t> data, const CipherCont
                             std::uint32_t count) {
   // FNV-1a is inherently sequential (each multiply feeds the next XOR), so
   // the single-packet win is memory traffic — load 8 bytes in one go and
-  // feed the hash from a register. Cross-packet parallelism lives in
-  // integrity_tag_batch.
+  // feed the hash from a register. Cross-packet parallelism lives in the
+  // batch kernels below.
   return fnv_finish(fnv_range(fnv_seed(ctx, count), data.data(), 0, data.size()));
 }
 
@@ -182,8 +182,8 @@ void protect_payload_batch(std::span<const CipherJob> jobs, const CipherContext&
           8;
       for (std::size_t w = 0; w < words; ++w) {
         // One traversal: cipher the word, store it, hash the stored value.
-        // The four lanes' FNV multiply chains stay independent, so they
-        // still overlap exactly as in integrity_tag_batch.
+        // The four lanes' FNV multiply chains are independent, so their
+        // ~5-cycle multiply latencies overlap in the pipeline.
         std::uint64_t c0, c1, c2, c3;
         std::memcpy(&c0, p0 + 8 * w, 8);
         std::memcpy(&c1, p1 + 8 * w, 8);
@@ -275,40 +275,6 @@ void verify_decipher_batch(std::span<const CipherJob> jobs, const CipherContext&
     tags_out[j] = integrity_tag(jobs[j].data, ctx, jobs[j].count);
     apply_keystream(jobs[j].data, ctx, jobs[j].count);
   }
-}
-
-void integrity_tag_batch(std::span<const IntegrityJob> jobs, const CipherContext& ctx,
-                         std::span<std::uint32_t> tags_out) {
-  std::size_t j = 0;
-  for (; j + 4 <= jobs.size(); j += 4) {
-    const IntegrityJob* q = jobs.data() + j;
-    const std::uint8_t* p0 = q[0].data.data();
-    const std::uint8_t* p1 = q[1].data.data();
-    const std::uint8_t* p2 = q[2].data.data();
-    const std::uint8_t* p3 = q[3].data.data();
-    std::uint64_t h0 = fnv_seed(ctx, q[0].count);
-    std::uint64_t h1 = fnv_seed(ctx, q[1].count);
-    std::uint64_t h2 = fnv_seed(ctx, q[2].count);
-    std::uint64_t h3 = fnv_seed(ctx, q[3].count);
-    const std::size_t words =
-        std::min(std::min(q[0].data.size(), q[1].data.size()),
-                 std::min(q[2].data.size(), q[3].data.size())) /
-        8;
-    for (std::size_t w = 0; w < words; ++w) {
-      // The four FNV multiply chains are independent, so their ~5-cycle
-      // multiply latencies overlap — this is where the batch's ~4x on long
-      // payloads comes from.
-      h0 = fnv8(h0, load_le64(p0 + 8 * w));
-      h1 = fnv8(h1, load_le64(p1 + 8 * w));
-      h2 = fnv8(h2, load_le64(p2 + 8 * w));
-      h3 = fnv8(h3, load_le64(p3 + 8 * w));
-    }
-    tags_out[j + 0] = fnv_finish(fnv_range(h0, p0, words * 8, q[0].data.size()));
-    tags_out[j + 1] = fnv_finish(fnv_range(h1, p1, words * 8, q[1].data.size()));
-    tags_out[j + 2] = fnv_finish(fnv_range(h2, p2, words * 8, q[2].data.size()));
-    tags_out[j + 3] = fnv_finish(fnv_range(h3, p3, words * 8, q[3].data.size()));
-  }
-  for (; j < jobs.size(); ++j) tags_out[j] = integrity_tag(jobs[j].data, ctx, jobs[j].count);
 }
 
 }  // namespace u5g

@@ -44,26 +44,14 @@ struct CipherJob {
   std::uint32_t count = 0;
 };
 
-/// One packet's slice of a batch integrity call.
-struct IntegrityJob {
-  std::span<const std::uint8_t> data;
-  std::uint32_t count = 0;
-};
-
 /// XOR each job's payload with its (`ctx`, job.count) keystream, four
 /// packets per inner loop. Equivalent to apply_keystream() on each job.
 void apply_keystream_batch(std::span<const CipherJob> jobs, const CipherContext& ctx);
 
-/// Compute each job's integrity tag into `tags_out` (same length as `jobs`),
-/// four interleaved FNV chains at a time. Equivalent to integrity_tag() on
-/// each job.
-void integrity_tag_batch(std::span<const IntegrityJob> jobs, const CipherContext& ctx,
-                         std::span<std::uint32_t> tags_out);
-
 /// Fused transmit kernel: cipher each job's payload in place AND compute its
 /// integrity tag over the *ciphered* bytes in one traversal (per word: XOR
 /// keystream, store, hash the stored word). Bit-identical to
-/// apply_keystream_batch() followed by integrity_tag_batch() on the result —
+/// apply_keystream() followed by integrity_tag() on the result, per job —
 /// which is exactly PDCP's protect order — while streaming each payload
 /// through the cache once instead of twice.
 void protect_payload_batch(std::span<const CipherJob> jobs, const CipherContext& ctx,
@@ -72,7 +60,7 @@ void protect_payload_batch(std::span<const CipherJob> jobs, const CipherContext&
 /// Fused receive kernel: compute each job's integrity tag over the payload
 /// as received (i.e. still ciphered) AND decipher it in place, one traversal
 /// (per word: hash the loaded value, then XOR-store the keystream). Equals
-/// integrity_tag_batch() on the input followed by apply_keystream_batch().
+/// integrity_tag() on the input followed by apply_keystream(), per job.
 /// The caller compares tags afterwards; on a mismatch the mutation is undone
 /// by re-applying the keystream (XOR is an involution), so speculative
 /// deciphering costs nothing on the rare corrupt packet.

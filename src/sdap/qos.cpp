@@ -1,40 +1,11 @@
 #include "sdap/qos.hpp"
 
-#include <array>
-
 namespace u5g {
-
-namespace {
 
 using namespace u5g::literals;
 
-constexpr std::array<FiveQi, 10> kTable{{
-    // Non-GBR defaults.
-    {9, ResourceType::NonGBR, 90, 300_ms, 1e-6, "buffered video, web"},
-    {8, ResourceType::NonGBR, 80, 300_ms, 1e-6, "TCP-based services"},
-    {7, ResourceType::NonGBR, 70, 100_ms, 1e-3, "voice, interactive gaming"},
-    // GBR.
-    {1, ResourceType::GBR, 20, 100_ms, 1e-2, "conversational voice"},
-    {2, ResourceType::GBR, 40, 150_ms, 1e-3, "conversational video"},
-    {3, ResourceType::GBR, 30, 50_ms, 1e-3, "real-time gaming, V2X"},
-    // Delay-critical GBR: the URLLC rows.
-    {82, ResourceType::DelayCriticalGBR, 19, 10_ms, 1e-4, "discrete automation (small)"},
-    {83, ResourceType::DelayCriticalGBR, 22, 10_ms, 1e-4, "discrete automation"},
-    {84, ResourceType::DelayCriticalGBR, 24, 30_ms, 1e-5, "intelligent transport"},
-    {85, ResourceType::DelayCriticalGBR, 21, 5_ms, 1e-5, "electricity distribution"},
-}};
-
-}  // namespace
-
-std::span<const FiveQi> five_qi_table() { return kTable; }
-
-std::optional<FiveQi> find_five_qi(int value) {
-  for (const FiveQi& q : kTable) {
-    if (q.value == value) return q;
-  }
-  return std::nullopt;
+FiveQi urllc_five_qi() {
+  return {85, ResourceType::DelayCriticalGBR, 21, 5_ms, 1e-5, "electricity distribution"};
 }
-
-FiveQi urllc_five_qi() { return *find_five_qi(85); }
 
 }  // namespace u5g

@@ -1,12 +1,10 @@
 #pragma once
-// 5G QoS model: 5QI characteristics (TS 23.501 Table 5.7.4-1, URLLC-relevant
-// subset). URLLC flows are the delay-critical GBR 5QIs (82-85) with packet
-// delay budgets down to 5 ms end-to-end and loss targets to 1e-5 — the
-// 99.999 % figure of the paper's abstract.
+// 5G QoS model: 5QI characteristics (TS 23.501 Table 5.7.4-1). URLLC flows
+// are the delay-critical GBR 5QIs (82-85) with packet delay budgets down to
+// 5 ms end-to-end and loss targets to 1e-5 — the 99.999 % figure of the
+// paper's abstract. A default FiveQi is 5QI 9 (buffered video, web).
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string_view>
 
 #include "common/time.hpp"
@@ -28,12 +26,6 @@ struct FiveQi {
     return resource == ResourceType::DelayCriticalGBR;
   }
 };
-
-/// The subset of standardised 5QIs this library carries.
-[[nodiscard]] std::span<const FiveQi> five_qi_table();
-
-/// Look up a 5QI by value; nullopt when not carried.
-[[nodiscard]] std::optional<FiveQi> find_five_qi(int value);
 
 /// 5QI 85: the most aggressive URLLC row (electricity distribution /
 /// industrial automation, 5 ms PDB, 1e-5 PER).

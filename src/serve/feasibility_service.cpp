@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "core/e2e_system.hpp"
 #include "sim/runner.hpp"
-#include "tdd/mini_slot.hpp"
 
 namespace u5g {
 
@@ -178,25 +177,6 @@ WorstCaseResult FeasibilityService::worst_case(const DuplexConfig& cfg, AccessMo
   q.model = p;
   q.grid_per_symbol = grid_per_symbol;
   return query(q).worst_case;
-}
-
-FeasibilityColumn FeasibilityService::evaluate_column(const DuplexConfig& cfg, Nanos deadline,
-                                                      const LatencyModelParams& p) {
-  FeasibilityColumn col;
-  col.config_name = cfg.name();
-  col.period_render = cfg.render_period();
-  for (AccessMode m : {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl, AccessMode::Downlink}) {
-    FeasibilityCell cell;
-    cell.mode = m;
-    cell.worst_case = worst_case(cfg, m, p);
-    cell.deadline = deadline;
-    cell.meets_deadline = cell.worst_case.feasible && cell.worst_case.worst <= deadline;
-    col.cells.push_back(cell);
-  }
-  if (const auto* ms = dynamic_cast<const MiniSlotConfig*>(&cfg)) {
-    col.standards_caveat = ms->violates_standard_recommendation();
-  }
-  return col;
 }
 
 FeasibilityService::Stats FeasibilityService::stats() const {

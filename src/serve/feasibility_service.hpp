@@ -8,7 +8,7 @@
 //      (direction map + granularity, never the pointer), the same way the
 //      TBS table memoizes `prbs_needed`. Warm queries are a lock, a hash
 //      and a map probe; answers are bit-identical to offline
-//      `evaluate_config` because they are produced by the same code, once.
+//      `analyze_worst_case` because they are produced by the same code, once.
 //   2. **Sim-tail fallback** — stochastic quantiles the closed form cannot
 //      bound come from fixed-seed E2eSystem replications fanned over the
 //      PR-1 runner, merged in replication order (bitwise thread-count
@@ -40,7 +40,6 @@
 #include "common/hashing.hpp"
 #include "common/lru.hpp"
 #include "common/stats.hpp"
-#include "core/feasibility.hpp"
 #include "serve/query.hpp"
 
 namespace u5g {
@@ -95,16 +94,10 @@ class FeasibilityService {
                                            const LatencyModelParams& p = {},
                                            int grid_per_symbol = 4);
 
-  /// One Table 1 column through the service (what `evaluate_config` wraps):
-  /// all three access modes against `deadline`, cells in the historical
-  /// GrantBasedUl, GrantFreeUl, Downlink order.
-  [[nodiscard]] FeasibilityColumn evaluate_column(const DuplexConfig& cfg, Nanos deadline,
-                                                  const LatencyModelParams& p = {});
-
   [[nodiscard]] Stats stats() const;
 
-  /// Process-wide instance behind the thin offline wrappers
-  /// (`evaluate_config`, `build_table1`, `compute_budget`). Lazy; starts
+  /// Process-wide instance behind the offline entry points
+  /// (`build_table1`, `compute_budget`, `explore_design_space`). Lazy; starts
   /// threads only to fan out a sim tail's replications.
   static FeasibilityService& shared();
 

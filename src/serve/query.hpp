@@ -11,11 +11,11 @@
 //
 //   * the **analytic fast path** answers from latency_model's closed-form
 //     worst-case search, memoized in an LRU keyed on the duplex pattern's
-//     value identity — bit-identical to offline `evaluate_config`;
+//     value identity — bit-identical to offline `analyze_worst_case`;
 //   * the optional **sim tail** answers what the analytic model cannot
 //     bound — stochastic latency quantiles under OS jitter, radio-bus
 //     spikes, loss — from cached fixed-seed E2eSystem replications keyed on
-//     `StackConfig::canonical_key()`.
+//     the StackConfig's canonical word stream.
 //
 // A query is a value; batches are vectors of values. Both entry points are
 // synchronous: `query` answers one, `query_batch` answers a batch in

@@ -90,11 +90,6 @@ TddCommonConfig::TddCommonConfig(Numerology num, TddPattern p1, std::optional<Td
   }
 }
 
-int TddCommonConfig::guard_symbols() const {
-  if (p1_.dl_symbols == 0 && p1_.ul_symbols == 0) return 0;
-  return kSymbolsPerSlot - p1_.dl_symbols - p1_.ul_symbols;
-}
-
 TddCommonConfig TddCommonConfig::du(Numerology num) {
   return {num, TddPattern{Nanos{500'000}, 1, 0, 0, 1}};
 }

@@ -59,10 +59,6 @@ class TddCommonConfig final : public DuplexConfig {
   [[nodiscard]] const TddPattern& pattern1() const { return p1_; }
   [[nodiscard]] const std::optional<TddPattern>& pattern2() const { return p2_; }
 
-  /// Guard symbols in the mixed slot of pattern 1 (14 - dl_symbols - ul_symbols),
-  /// or 0 when pattern 1 has no mixed slot.
-  [[nodiscard]] int guard_symbols() const;
-
   // -- The paper's §5 minimal configurations (0.5 ms period) ---------------
   // All take the numerology (µ2 → 0.25 ms slots → 2-slot period, the only
   // FR1 choice that can meet URLLC). `dl_symbols`/`ul_symbols` of the mixed

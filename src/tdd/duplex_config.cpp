@@ -49,18 +49,4 @@ std::size_t DuplexConfig::value_word_count() const {
   return 4 + (symbols + 31) / 32;
 }
 
-std::uint64_t DuplexConfig::value_hash() const {
-  CanonicalWords words;
-  append_value_words(words);
-  return words.hash();
-}
-
-bool value_equal(const DuplexConfig& a, const DuplexConfig& b) {
-  if (&a == &b) return true;
-  CanonicalWords wa, wb;
-  a.append_value_words(wa);
-  b.append_value_words(wb);
-  return wa == wb;
-}
-
 }  // namespace u5g

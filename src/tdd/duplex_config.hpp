@@ -104,8 +104,6 @@ class DuplexConfig {
   void append_value_words(CanonicalWords& words) const;
   /// How many words append_value_words appends, so callers can reserve.
   [[nodiscard]] std::size_t value_word_count() const;
-  /// Stable 64-bit fold of the value identity.
-  [[nodiscard]] std::uint64_t value_hash() const;
 
  protected:
   explicit DuplexConfig(Numerology n) : num_(n) {}
@@ -117,9 +115,5 @@ class DuplexConfig {
  private:
   Numerology num_;
 };
-
-/// Deep value equality over the observable identity (see append_value_words).
-/// Exact — compares the full direction map, never just a hash.
-[[nodiscard]] bool value_equal(const DuplexConfig& a, const DuplexConfig& b);
 
 }  // namespace u5g

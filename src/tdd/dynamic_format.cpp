@@ -5,46 +5,6 @@
 
 namespace u5g {
 
-std::string DecidedFormat::render() const {
-  std::string s(kSymbolsPerSlot, '-');
-  for (int i = 0; i < kSymbolsPerSlot; ++i) {
-    const bool d = (added_dl >> i) & 1u;
-    const bool u = (added_ul >> i) & 1u;
-    if (d && u) {
-      s[static_cast<std::size_t>(i)] = 'X';
-    } else if (d) {
-      s[static_cast<std::size_t>(i)] = 'D';
-    } else if (u) {
-      s[static_cast<std::size_t>(i)] = 'U';
-    }
-  }
-  return s;
-}
-
-std::optional<DecidedFormat> DecidedFormat::parse(std::string_view s) {
-  if (s.size() != static_cast<std::size_t>(kSymbolsPerSlot)) return std::nullopt;
-  DecidedFormat f;
-  for (int i = 0; i < kSymbolsPerSlot; ++i) {
-    switch (s[static_cast<std::size_t>(i)]) {
-      case 'X':
-        f.added_dl |= static_cast<std::uint16_t>(1u << i);
-        f.added_ul |= static_cast<std::uint16_t>(1u << i);
-        break;
-      case 'D':
-        f.added_dl |= static_cast<std::uint16_t>(1u << i);
-        break;
-      case 'U':
-        f.added_ul |= static_cast<std::uint16_t>(1u << i);
-        break;
-      case '-':
-        break;
-      default:
-        return std::nullopt;
-    }
-  }
-  return f;
-}
-
 SlotFormat DecidedFormat::to_slot_format(std::uint16_t base_dl, std::uint16_t base_ul) const {
   SlotFormat fmt;
   fmt.index = -1;  // dynamically decided, not a TS 38.213 table entry
@@ -61,9 +21,11 @@ SlotFormat DecidedFormat::to_slot_format(std::uint16_t base_dl, std::uint16_t ba
 
 DynamicFormatPolicy::DynamicFormatPolicy(const DuplexConfig& base, const DynamicTddConfig& cfg)
     : base_(base), cfg_(cfg) {
-  cfg_.guard_slots = std::max(cfg_.guard_slots, 0);
-  cfg_.hold_slots = std::max(cfg_.hold_slots, 1);
-  cfg_.ul_guard_slots = std::max(cfg_.ul_guard_slots, 1);
+  if (cfg.guard_slots < 0) throw std::invalid_argument{"DynamicTddConfig: guard_slots must be >= 0"};
+  if (cfg.hold_slots < 1) throw std::invalid_argument{"DynamicTddConfig: hold_slots must be >= 1"};
+  if (cfg.ul_guard_slots < 1) {
+    throw std::invalid_argument{"DynamicTddConfig: ul_guard_slots must be >= 1"};
+  }
 }
 
 DecidedFormat DynamicFormatPolicy::decide(SlotIndex k, const TddQueueState& q) {

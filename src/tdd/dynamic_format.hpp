@@ -24,9 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "tdd/duplex_config.hpp"
@@ -68,8 +66,7 @@ struct TddQueueState {
 };
 
 /// One committed per-slot decision: the *added* capability masks (bit s =
-/// symbol s gains that direction on top of the static pattern). Lossless
-/// text round trip via render()/parse() for logging and fuzzing.
+/// symbol s gains that direction on top of the static pattern).
 struct DecidedFormat {
   static constexpr std::uint16_t kAllSymbols = kSlotSymbolMask;
 
@@ -77,10 +74,6 @@ struct DecidedFormat {
   std::uint16_t added_ul = 0;
 
   [[nodiscard]] bool any() const { return (added_dl | added_ul) != 0; }
-  /// 14 chars over {D, U, X, -}: the added capability of each symbol.
-  [[nodiscard]] std::string render() const;
-  /// Inverse of render(); nullopt on malformed input.
-  [[nodiscard]] static std::optional<DecidedFormat> parse(std::string_view s);
   /// The effective slot format once the added masks overlay the static
   /// base masks: DL-only symbols render Downlink, UL-only Uplink, and
   /// both-capable (or neither) Flexible — the TS 38.213 reading where a
@@ -95,6 +88,8 @@ struct DecidedFormat {
 /// decide() must be called once per slot boundary in increasing slot order.
 class DynamicFormatPolicy {
  public:
+  /// Throws std::invalid_argument for `guard_slots < 0`, `hold_slots < 1`
+  /// or `ul_guard_slots < 1`; nothing is clamped.
   DynamicFormatPolicy(const DuplexConfig& base, const DynamicTddConfig& cfg);
 
   /// Observe `q` at the boundary of slot `k`; returns the format committed

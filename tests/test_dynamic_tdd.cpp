@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,39 @@ void send_preemption_rounds(E2eSystem& sys, int rounds) {
 }
 
 }  // namespace
+
+// ===========================================================================
+// Policy settings: out-of-range knobs fail E2eSystem construction, at both
+// edges of each bound; nothing is clamped.
+
+namespace {
+
+StackConfig dynamic_config(void (*set)(DynamicTddConfig&)) {
+  StackConfig cfg = StackConfig::testbed_grant_based();
+  cfg.dynamic_tdd.enabled = true;
+  set(cfg.dynamic_tdd);
+  return cfg;
+}
+
+}  // namespace
+
+TEST(DynamicTddSettingsTest, GuardSlotsMustBeNonNegative) {
+  EXPECT_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.guard_slots = -1; })},
+               std::invalid_argument);
+  EXPECT_NO_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.guard_slots = 0; })});
+}
+
+TEST(DynamicTddSettingsTest, HoldSlotsMustBePositive) {
+  EXPECT_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.hold_slots = 0; })},
+               std::invalid_argument);
+  EXPECT_NO_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.hold_slots = 1; })});
+}
+
+TEST(DynamicTddSettingsTest, UlGuardSlotsMustBePositive) {
+  EXPECT_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.ul_guard_slots = 0; })},
+               std::invalid_argument);
+  EXPECT_NO_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.ul_guard_slots = 1; })});
+}
 
 // ===========================================================================
 // Loss accounting under the dynamic policy (PR-5 identity + punctured_retx)

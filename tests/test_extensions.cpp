@@ -173,7 +173,10 @@ TEST(PredictiveCgTest, ReservationRateEqualsArrivalRate) {
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   PredictiveConfiguredGrant pcg{UeId{1}, 2, 128, 60_us};
   for (int i = 1; i <= 20; ++i) pcg.observe_arrival(2_ms * i);
-  EXPECT_NEAR(pcg.reserved_windows_per_second(), 500.0, 5.0);
+  // One reserved window per predicted packet: the reservation period is
+  // the arrival period (the §9 waste reduction).
+  EXPECT_NEAR(static_cast<double>(pcg.predictor().period_estimate().count()),
+              static_cast<double>((2_ms).count()), 20'000.0);
 }
 
 }  // namespace

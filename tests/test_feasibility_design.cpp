@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/design_space.hpp"
 #include "core/feasibility.hpp"
-#include "tdd/slot_format.hpp"
 #include "core/reliability.hpp"
+#include "serve/feasibility_service.hpp"
+#include "tdd/slot_format.hpp"
 
 namespace u5g {
 namespace {
@@ -59,7 +63,7 @@ TEST(Table1Test, MiniSlotCarriesStandardsCaveat) {
 
 TEST(Table1Test, UnknownModeThrows) {
   const Table1 t = build_table1();
-  EXPECT_NO_THROW(t.columns.front().cell(AccessMode::Downlink));
+  EXPECT_NO_THROW((void)t.columns.front().cell(AccessMode::Downlink));
 }
 
 TEST(Table1Test, LooserDeadlineFlipsVerdicts) {
@@ -87,23 +91,27 @@ TEST(Table1Test, SlotFormatConfigsEvaluateThroughTheSameMachinery) {
   // sequences slot directly in. Format 28 (DDDDDDDDDDDDFU) gives every slot
   // one UL symbol — grant-free UL becomes per-slot cheap while DL keeps the
   // full-slot cost.
-  const SlotFormatConfig alternating{kMu2, {28}};
+  const auto alternating = std::make_shared<SlotFormatConfig>(kMu2, std::vector<int>{28});
   // One UL symbol per slot: data transmissions must fit one symbol (the
   // default 2-symbol transmission has no contiguous window here).
   LatencyModelParams p;
   p.data_tx_symbols = 1;
-  const FeasibilityColumn col = evaluate_config(alternating, 500_us, p);
-  EXPECT_TRUE(col.cell(AccessMode::GrantFreeUl).meets_deadline);
+  FeasibilityService& service = FeasibilityService::shared();
+  const FeasibilityVerdict gf =
+      service.query(FeasibilityQuery::analytic(alternating, AccessMode::GrantFreeUl, 500_us, p));
+  EXPECT_TRUE(gf.meets_deadline);
   // Worst case for 1-symbol-per-slot UL: just under two slots.
-  const auto gf = analyze_worst_case(alternating, AccessMode::GrantFreeUl, p);
-  EXPECT_LT(gf.worst, 510_us);
+  EXPECT_LT(analyze_worst_case(*alternating, AccessMode::GrantFreeUl, p).worst, 510_us);
 
   // A DL-only sequence is infeasible for uplink and says so.
-  const SlotFormatConfig dl_only{kMu2, {0}};
-  const FeasibilityColumn col2 = evaluate_config(dl_only, 500_us);
-  EXPECT_FALSE(col2.cell(AccessMode::GrantFreeUl).meets_deadline);
-  EXPECT_FALSE(col2.cell(AccessMode::GrantFreeUl).worst_case.feasible);
-  EXPECT_TRUE(col2.cell(AccessMode::Downlink).meets_deadline);
+  const auto dl_only = std::make_shared<SlotFormatConfig>(kMu2, std::vector<int>{0});
+  const FeasibilityVerdict ul =
+      service.query(FeasibilityQuery::analytic(dl_only, AccessMode::GrantFreeUl, 500_us));
+  EXPECT_FALSE(ul.meets_deadline);
+  EXPECT_FALSE(ul.worst_case.feasible);
+  const FeasibilityVerdict dl =
+      service.query(FeasibilityQuery::analytic(dl_only, AccessMode::Downlink, 500_us));
+  EXPECT_TRUE(dl.meets_deadline);
 }
 
 // ---------------------------------------------------------------------------

@@ -379,56 +379,6 @@ TEST(FuzzRlc, RandomGrantsReassembleExactly) {
   }
 }
 
-TEST(FuzzRlc, AmRecoversFromRandomLoss) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed * 104729);
-    RlcTx tx(RlcMode::AM);
-    RlcRx rx(RlcMode::AM);
-
-    std::vector<ByteBuffer> sent;
-    const int n_sdus = 4 + static_cast<int>(rng.uniform_int(8));
-    for (int i = 0; i < n_sdus; ++i) {
-      ByteBuffer sdu = random_payload(rng, 10 + rng.uniform_int(100));
-      sent.push_back(sdu);
-      tx.enqueue(std::move(sdu), Nanos{static_cast<std::int64_t>(i)});
-    }
-
-    std::vector<ByteBuffer> received;
-    // Rounds of transmit-with-loss followed by status-driven repair.
-    for (int round = 0; round < 20 && received.size() < sent.size(); ++round) {
-      int guard = 0;
-      while (++guard < 1000) {
-        auto pdu = tx.pull(256);
-        if (!pdu) break;
-        if (rng.bernoulli(0.3)) continue;  // lost on the air
-        rx.receive(std::move(pdu->pdu),
-                   [&](ByteBuffer&& sdu, const PacketMeta&) { received.push_back(std::move(sdu)); });
-      }
-      const auto status = rx.build_status();
-      tx.on_status(status.ack_sn, status.nacks);
-      // t-PollRetransmit expiry: PDUs the receiver never saw are above its
-      // ACK horizon and will never be NACKed — the sender re-queues them.
-      tx.retransmit_unacked();
-    }
-    // AM delivers on completion, so retransmitted SDUs arrive out of order
-    // (in-order delivery is PDCP's job, one layer up). Compare as sets:
-    // every sent SDU delivered exactly once, bit-exact.
-    ASSERT_EQ(received.size(), sent.size()) << "seed " << seed;
-    std::vector<bool> matched(sent.size(), false);
-    for (const ByteBuffer& got : received) {
-      bool found = false;
-      for (std::size_t i = 0; i < sent.size(); ++i) {
-        if (!matched[i] && same_bytes(got, sent[i])) {
-          matched[i] = true;
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found) << "seed " << seed << ": delivered an SDU never sent (or twice)";
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // PDCP under random reordering and duplication
 
@@ -637,8 +587,7 @@ TEST(FuzzDynamicTdd, RandomQueueSequencesKeepPolicyInvariants) {
   //   1. determinism — two identically-fed instances emit identical formats;
   //   2. UL starvation bound — at most ul_guard_slots consecutive decisions
   //      carry a DL upgrade, then a clean slot goes out;
-  //   3. render()/parse() round-trips losslessly;
-  //   4. monotone relaxation — the effective SlotFormat never demotes a
+  //   3. monotone relaxation — the effective SlotFormat never demotes a
   //      symbol the static base could use, and a committed overlay keeps
   //      dl_capable/ul_capable a superset of the base.
   const TddCommonConfig bases[] = {TddCommonConfig::du(kMu2), TddCommonConfig::dm(kMu2),
@@ -677,10 +626,6 @@ TEST(FuzzDynamicTdd, RandomQueueSequencesKeepPolicyInvariants) {
         dl_run = 0;
       }
 
-      const auto parsed = DecidedFormat::parse(fa.render());
-      ASSERT_TRUE(parsed.has_value()) << fa.render();
-      EXPECT_EQ(fa, *parsed);
-
       const SlotIndex target = k + cfg.guard_slots;
       const std::uint16_t bdl = base.dl_mask(target);
       const std::uint16_t bul = base.ul_mask(target);
@@ -691,10 +636,14 @@ TEST(FuzzDynamicTdd, RandomQueueSequencesKeepPolicyInvariants) {
         const bool base_u = (bul >> s) & 1u;
         // A base-DL-only symbol may gain UL (becoming Flexible) but can
         // never render Uplink-only; symmetrically for base-UL symbols.
-        if (base_d) EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Uplink);
-        if (base_u) EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Downlink);
-        if (base_d) EXPECT_TRUE(overlay.dl_capable(target, s));
-        if (base_u) EXPECT_TRUE(overlay.ul_capable(target, s));
+        if (base_d) {
+          EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Uplink);
+          EXPECT_TRUE(overlay.dl_capable(target, s));
+        }
+        if (base_u) {
+          EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Downlink);
+          EXPECT_TRUE(overlay.ul_capable(target, s));
+        }
       }
     }
     // Replaying the identical sequence on a fresh policy reproduces the

@@ -279,28 +279,10 @@ TEST(CipherBatchTest, KeystreamBatchMatchesScalar) {
   }
 }
 
-TEST(CipherBatchTest, IntegrityBatchMatchesScalar) {
-  const CipherContext ctx{};
-  std::uint64_t state = 2;
-  for (std::size_t njobs = 1; njobs <= std::size(kBatchLens); ++njobs) {
-    std::vector<std::vector<std::uint8_t>> data;
-    for (std::size_t i = 0; i < njobs; ++i) data.push_back(random_bytes(state, kBatchLens[i]));
-    std::vector<IntegrityJob> jobs;
-    for (std::size_t i = 0; i < njobs; ++i) {
-      jobs.push_back(IntegrityJob{data[i], static_cast<std::uint32_t>(7 * i + 1)});
-    }
-    std::vector<std::uint32_t> tags(njobs);
-    integrity_tag_batch(jobs, ctx, tags);
-    for (std::size_t i = 0; i < njobs; ++i) {
-      EXPECT_EQ(integrity_tag(data[i], ctx, static_cast<std::uint32_t>(7 * i + 1)), tags[i])
-          << "njobs=" << njobs << " job=" << i;
-    }
-  }
-}
-
 TEST(CipherBatchTest, FusedProtectMatchesCipherThenTag) {
-  // protect_payload_batch = apply_keystream_batch; integrity_tag_batch — in
-  // that order, because PDCP tags the *ciphered* bytes.
+  // protect_payload_batch = apply_keystream then integrity_tag, per job, in
+  // that order, because PDCP tags the *ciphered* bytes. The scalar kernels
+  // are the oracle.
   const CipherContext ctx{.bearer = 9};
   std::uint64_t state = 3;
   for (std::size_t njobs = 1; njobs <= std::size(kBatchLens); ++njobs) {
@@ -309,31 +291,27 @@ TEST(CipherBatchTest, FusedProtectMatchesCipherThenTag) {
       fused_data.push_back(random_bytes(state, kBatchLens[i]));
       ref_data.push_back(fused_data.back());
     }
-    std::vector<CipherJob> fused_jobs, ref_jobs;
+    std::vector<CipherJob> fused_jobs;
     for (std::size_t i = 0; i < njobs; ++i) {
       fused_jobs.push_back(CipherJob{fused_data[i], static_cast<std::uint32_t>(i)});
-      ref_jobs.push_back(CipherJob{ref_data[i], static_cast<std::uint32_t>(i)});
     }
-    std::vector<std::uint32_t> fused_tags(njobs), ref_tags(njobs);
+    std::vector<std::uint32_t> fused_tags(njobs);
     protect_payload_batch(fused_jobs, ctx, fused_tags);
 
-    apply_keystream_batch(ref_jobs, ctx);
-    std::vector<IntegrityJob> tag_jobs;
     for (std::size_t i = 0; i < njobs; ++i) {
-      tag_jobs.push_back(IntegrityJob{ref_data[i], static_cast<std::uint32_t>(i)});
-    }
-    integrity_tag_batch(tag_jobs, ctx, ref_tags);
-
-    for (std::size_t i = 0; i < njobs; ++i) {
+      const auto count = static_cast<std::uint32_t>(i);
+      apply_keystream(ref_data[i], ctx, count);
       EXPECT_EQ(ref_data[i], fused_data[i]) << "njobs=" << njobs << " job=" << i;
-      EXPECT_EQ(ref_tags[i], fused_tags[i]) << "njobs=" << njobs << " job=" << i;
+      EXPECT_EQ(integrity_tag(ref_data[i], ctx, count), fused_tags[i])
+          << "njobs=" << njobs << " job=" << i;
     }
   }
 }
 
 TEST(CipherBatchTest, FusedVerifyDecipherMatchesTagThenDecipher) {
-  // verify_decipher_batch = integrity_tag_batch on the received (ciphered)
-  // bytes; apply_keystream_batch — the receive order.
+  // verify_decipher_batch = integrity_tag on the received (ciphered) bytes,
+  // then apply_keystream, per job — the receive order. The scalar kernels
+  // are the oracle.
   const CipherContext ctx{.downlink = false};
   std::uint64_t state = 4;
   for (std::size_t njobs = 1; njobs <= std::size(kBatchLens); ++njobs) {
@@ -342,24 +320,19 @@ TEST(CipherBatchTest, FusedVerifyDecipherMatchesTagThenDecipher) {
       fused_data.push_back(random_bytes(state, kBatchLens[i]));
       ref_data.push_back(fused_data.back());
     }
-    std::vector<CipherJob> fused_jobs, ref_jobs;
+    std::vector<CipherJob> fused_jobs;
     for (std::size_t i = 0; i < njobs; ++i) {
       fused_jobs.push_back(CipherJob{fused_data[i], static_cast<std::uint32_t>(50 + i)});
-      ref_jobs.push_back(CipherJob{ref_data[i], static_cast<std::uint32_t>(50 + i)});
     }
-    std::vector<std::uint32_t> fused_tags(njobs), ref_tags(njobs);
+    std::vector<std::uint32_t> fused_tags(njobs);
     verify_decipher_batch(fused_jobs, ctx, fused_tags);
 
-    std::vector<IntegrityJob> tag_jobs;
     for (std::size_t i = 0; i < njobs; ++i) {
-      tag_jobs.push_back(IntegrityJob{ref_data[i], static_cast<std::uint32_t>(50 + i)});
-    }
-    integrity_tag_batch(tag_jobs, ctx, ref_tags);
-    apply_keystream_batch(ref_jobs, ctx);
-
-    for (std::size_t i = 0; i < njobs; ++i) {
+      const auto count = static_cast<std::uint32_t>(50 + i);
+      EXPECT_EQ(integrity_tag(ref_data[i], ctx, count), fused_tags[i])
+          << "njobs=" << njobs << " job=" << i;
+      apply_keystream(ref_data[i], ctx, count);
       EXPECT_EQ(ref_data[i], fused_data[i]) << "njobs=" << njobs << " job=" << i;
-      EXPECT_EQ(ref_tags[i], fused_tags[i]) << "njobs=" << njobs << " job=" << i;
     }
   }
 }

@@ -1,10 +1,9 @@
-// Unit tests for src/phy: numerology arithmetic, frame clock, bands,
+// Unit tests for src/phy: numerology arithmetic, frame clock,
 // modulation/MCS, transport-block sizing, channel models, sample accounting,
 // PHY timing.
 
 #include <gtest/gtest.h>
 
-#include "phy/band.hpp"
 #include "phy/channel.hpp"
 #include "phy/frame_structure.hpp"
 #include "phy/modulation.hpp"
@@ -106,40 +105,6 @@ TEST(SlotClockTest, FramePosition) {
 }
 
 // ---------------------------------------------------------------------------
-// Bands
-
-TEST(BandTest, N78IsTheTestbedBand) {
-  const Band b = band_n78();
-  EXPECT_EQ(b.name, "n78");
-  EXPECT_EQ(b.duplex, DuplexMode::TDD);
-  EXPECT_EQ(b.fr, FrequencyRange::FR1);
-  EXPECT_TRUE(b.usable_for_private_5g());
-}
-
-TEST(BandTest, LookupUnknown) {
-  EXPECT_FALSE(find_band("n999").has_value());
-  EXPECT_TRUE(find_band("n41").has_value());
-}
-
-TEST(BandTest, FddOnlyBelow2600MHz) {
-  // §2: "FDD is only supported in sub-2.6 GHz bands".
-  for (const Band& b : known_bands()) {
-    if (b.duplex == DuplexMode::FDD) {
-      EXPECT_LT(b.f_high_mhz, 2700.0) << b.name;
-      EXPECT_FALSE(b.usable_for_private_5g()) << b.name;
-    }
-  }
-}
-
-TEST(BandTest, Fr2BandsAreMmWave) {
-  for (const Band& b : known_bands()) {
-    if (b.fr == FrequencyRange::FR2) {
-      EXPECT_GT(b.f_low_mhz, 24'000.0) << b.name;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Modulation / MCS
 
 TEST(McsTest, TableShape) {
@@ -176,7 +141,9 @@ TEST(McsTest, HighestBelowRate) {
   EXPECT_LT(e.code_rate(), 0.5);
   // It must not be beaten by any other sub-0.5 entry.
   for (const McsEntry& cand : mcs_table()) {
-    if (cand.code_rate() < 0.5) EXPECT_LE(cand.bits_per_re(), e.bits_per_re());
+    if (cand.code_rate() < 0.5) {
+      EXPECT_LE(cand.bits_per_re(), e.bits_per_re());
+    }
   }
 }
 

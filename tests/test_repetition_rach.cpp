@@ -15,31 +15,6 @@ namespace {
 using namespace u5g::literals;
 
 // ---------------------------------------------------------------------------
-// nth_ul_window
-
-TEST(NthUlWindowTest, PacksBackToBack) {
-  const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
-  const auto w1 = nth_ul_window(dm, 1_ns, 2, 1);
-  const auto w2 = nth_ul_window(dm, 1_ns, 2, 2);
-  const auto w4 = nth_ul_window(dm, 1_ns, 2, 4);
-  ASSERT_TRUE(w1 && w2 && w4);
-  EXPECT_EQ(w2->start, w1->end);  // consecutive legs abut
-  // 8 UL symbols in one burst, ending exactly at the slot boundary (the
-  // last symbol absorbs the integer-division remainder, so compare against
-  // the boundary rather than 4 * duration).
-  EXPECT_EQ(w4->end, Nanos{500'000});
-}
-
-TEST(NthUlWindowTest, BundleSpillsToNextPeriod) {
-  const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
-  // DM has 4 two-symbol windows per period; the 5th leg lands next period.
-  const auto w4 = nth_ul_window(dm, 1_ns, 2, 4);
-  const auto w5 = nth_ul_window(dm, 1_ns, 2, 5);
-  ASSERT_TRUE(w4 && w5);
-  EXPECT_GE(w5->start, w4->end + 100_us);  // crossed the DL+guard gap
-}
-
-// ---------------------------------------------------------------------------
 // Reliability schemes
 
 TEST(ReliabilitySchemeTest, ResidualLossSharedByBothSchemes) {

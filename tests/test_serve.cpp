@@ -1,6 +1,6 @@
 // Tests for the feasibility-query service (src/serve/) and its foundations:
 // the canonical word stream + LRU cache (src/common/), DuplexConfig value
-// identity, StackConfig::canonical_key / operator==, and the service's
+// identity, the StackConfig canonical word stream, and the service's
 // correctness contract — answers bit-identical to the offline analytic path
 // for every Table 1 config x access mode, cache hits identical to cold
 // misses, sim tails bitwise deterministic across 1/2/8 service threads, and
@@ -26,6 +26,20 @@
 
 namespace u5g {
 namespace {
+
+/// The streams the caches key on: a duplex pattern's value identity and a
+/// StackConfig's canonical identity.
+CanonicalWords value_words(const DuplexConfig& c) {
+  CanonicalWords w;
+  c.append_value_words(w);
+  return w;
+}
+
+CanonicalWords canonical_words(const StackConfig& c) {
+  CanonicalWords w;
+  c.append_canonical_words(w);
+  return w;
+}
 
 bool same_worst_case(const WorstCaseResult& a, const WorstCaseResult& b) {
   return a.worst == b.worst && a.best == b.best && a.mean == b.mean &&
@@ -130,17 +144,15 @@ TEST(DuplexIdentityTest, EqualPatternsCompareEqualByValue) {
   const TddCommonConfig a = TddCommonConfig::dm(kMu2);
   const TddCommonConfig b = TddCommonConfig::dm(kMu2);
   EXPECT_NE(&a, &b);
-  EXPECT_TRUE(value_equal(a, b));
-  EXPECT_EQ(a.value_hash(), b.value_hash());
+  EXPECT_EQ(value_words(a), value_words(b));
 }
 
 TEST(DuplexIdentityTest, DistinctPatternsDiffer) {
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   const TddCommonConfig du = TddCommonConfig::du(kMu2);
   const FddConfig fdd(kMu2);
-  EXPECT_FALSE(value_equal(dm, du));
-  EXPECT_FALSE(value_equal(dm, fdd));
-  EXPECT_NE(dm.value_hash(), du.value_hash());
+  EXPECT_NE(value_words(dm), value_words(du));
+  EXPECT_NE(value_words(dm), value_words(fdd));
 }
 
 TEST(DuplexIdentityTest, ValueWordCountMatchesAppendedWords) {
@@ -160,7 +172,7 @@ TEST(DuplexIdentityTest, ValueWordCountMatchesAppendedWords) {
 TEST(DuplexIdentityTest, NumerologyParticipates) {
   const MiniSlotConfig a(kMu2, 2);
   const MiniSlotConfig b(kMu1, 2);
-  EXPECT_FALSE(value_equal(a, b));
+  EXPECT_NE(value_words(a), value_words(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -172,8 +184,7 @@ TEST(StackConfigIdentityTest, EqualConfigsShareKeyAndCompareEqual) {
   // Distinct shared_ptr instances to equal duplex patterns: identity is by
   // value, never by pointer.
   EXPECT_NE(a.duplex.get(), b.duplex.get());
-  EXPECT_TRUE(a == b);
-  EXPECT_EQ(a.canonical_key(), b.canonical_key());
+  EXPECT_EQ(canonical_words(a), canonical_words(b));
 }
 
 TEST(StackConfigIdentityTest, EveryKnobParticipates) {
@@ -187,8 +198,7 @@ TEST(StackConfigIdentityTest, EveryKnobParticipates) {
   StackConfig duplex = base;
   duplex.duplex = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
   for (const StackConfig* c : {&seed, &loss, &ues, &duplex}) {
-    EXPECT_FALSE(base == *c);
-    EXPECT_NE(base.canonical_key(), c->canonical_key());
+    EXPECT_NE(canonical_words(base), canonical_words(*c));
   }
 }
 
@@ -197,8 +207,7 @@ TEST(StackConfigIdentityTest, ReplacingDuplexWithEqualValueKeepsKey) {
   StackConfig b = a;
   b.duplex = std::make_shared<TddCommonConfig>(TddCommonConfig::dddu(kMu1));
   ASSERT_NE(a.duplex.get(), b.duplex.get());
-  EXPECT_TRUE(a == b);
-  EXPECT_EQ(a.canonical_key(), b.canonical_key());
+  EXPECT_EQ(canonical_words(a), canonical_words(b));
 }
 
 TEST(StackConfigIdentityTest, DynamicTddKnobsParticipate) {
@@ -207,8 +216,7 @@ TEST(StackConfigIdentityTest, DynamicTddKnobsParticipate) {
   const StackConfig base = StackConfig::testbed_grant_free(7);
   StackConfig dyn = base;
   dyn.dynamic_tdd.enabled = true;
-  EXPECT_FALSE(base == dyn);
-  EXPECT_NE(base.canonical_key(), dyn.canonical_key());
+  EXPECT_NE(canonical_words(base), canonical_words(dyn));
 
   // Every policy knob perturbs the key on its own.
   StackConfig guard = dyn;
@@ -222,15 +230,13 @@ TEST(StackConfigIdentityTest, DynamicTddKnobsParticipate) {
   StackConfig xlink = dyn;
   xlink.dynamic_tdd.xlink_ul_bler = 0.1;
   for (const StackConfig* c : {&guard, &hold, &ul_guard, &preempt, &xlink}) {
-    EXPECT_FALSE(dyn == *c);
-    EXPECT_NE(dyn.canonical_key(), c->canonical_key());
+    EXPECT_NE(canonical_words(dyn), canonical_words(*c));
   }
 
   // Equal policies still share a key, so dynamic queries cache normally.
   StackConfig same = base;
   same.dynamic_tdd.enabled = true;
-  EXPECT_TRUE(dyn == same);
-  EXPECT_EQ(dyn.canonical_key(), same.canonical_key());
+  EXPECT_EQ(canonical_words(dyn), canonical_words(same));
 }
 
 // ---------------------------------------------------------------------------
@@ -276,14 +282,19 @@ TEST(FeasibilityServiceTest, RejectsNonPositiveGrid) {
 }
 
 TEST(FeasibilityServiceTest, WrapperMatchesServiceColumn) {
+  // build_table1's DM column (answered by the shared service) equals a
+  // fresh service's answer to each of its three queries.
   FeasibilityService service;
-  const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
-  const FeasibilityColumn via_wrapper = evaluate_config(dm, kUrllcOneWayDeadline);
-  const FeasibilityColumn via_service = service.evaluate_column(dm, kUrllcOneWayDeadline);
-  ASSERT_EQ(via_wrapper.cells.size(), via_service.cells.size());
-  for (std::size_t i = 0; i < via_wrapper.cells.size(); ++i) {
-    EXPECT_TRUE(same_worst_case(via_wrapper.cells[i].worst_case, via_service.cells[i].worst_case));
-    EXPECT_EQ(via_wrapper.cells[i].meets_deadline, via_service.cells[i].meets_deadline);
+  const Table1 t = build_table1();
+  const auto dm = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
+  const FeasibilityColumn& col = t.columns[1];
+  ASSERT_EQ(col.config_name, dm->name());
+  ASSERT_EQ(col.cells.size(), 3u);
+  for (const FeasibilityCell& cell : col.cells) {
+    const FeasibilityVerdict v = service.query(FeasibilityQuery::analytic(dm, cell.mode));
+    EXPECT_TRUE(same_worst_case(cell.worst_case, v.worst_case)) << to_string(cell.mode);
+    EXPECT_EQ(cell.meets_deadline, v.meets_deadline) << to_string(cell.mode);
+    EXPECT_EQ(cell.deadline, v.deadline) << to_string(cell.mode);
   }
 }
 
