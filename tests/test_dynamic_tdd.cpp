@@ -18,6 +18,7 @@
 #include "loss_identity.hpp"
 #include "sim/sharded.hpp"
 #include "tdd/dynamic_format.hpp"
+#include "tdd/slot_format.hpp"
 
 using namespace u5g;
 using namespace u5g::literals;
@@ -82,6 +83,78 @@ TEST(DynamicTddSettingsTest, UlGuardSlotsMustBePositive) {
   EXPECT_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.ul_guard_slots = 0; })},
                std::invalid_argument);
   EXPECT_NO_THROW(E2eSystem{dynamic_config([](DynamicTddConfig& d) { d.ul_guard_slots = 1; })});
+}
+
+TEST(DynamicTddSettingsTest, BadKnobFailsShardedEngineConstruction) {
+  // Every cell of the sharded engine builds its own policy, so an
+  // out-of-range knob fails there too, before any slot runs.
+  StackConfig cfg = dynamic_config([](DynamicTddConfig& d) { d.hold_slots = 0; });
+  cfg.num_cells = 2;
+  EXPECT_THROW((void)ShardedEngine(cfg, ShardedOptions{.threads = 1}), std::invalid_argument);
+  cfg.dynamic_tdd.hold_slots = 1;
+  EXPECT_NO_THROW((void)ShardedEngine(cfg, ShardedOptions{.threads = 1}));
+}
+
+// ===========================================================================
+// The policy at the smallest legal setting of each knob.
+
+namespace {
+
+TddQueueState ul_backlog() {
+  TddQueueState q;
+  q.ul_retx_tbs = 1;
+  return q;
+}
+
+TddQueueState dl_backlog() {
+  TddQueueState q;
+  q.dl_queued_sdus = 2;
+  return q;
+}
+
+DynamicTddConfig policy_config(int guard, int hold, int ul_guard) {
+  DynamicTddConfig cfg;
+  cfg.enabled = true;
+  cfg.guard_slots = guard;
+  cfg.hold_slots = hold;
+  cfg.ul_guard_slots = ul_guard;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(DynamicTddSettingsTest, ZeroGuardCommitsTheObservedSlot) {
+  // guard_slots = 0: the decision at slot k's boundary is slot k's format.
+  const SlotFormatConfig all_dl{kMu2, {0}};
+  DynamicFormatPolicy policy(all_dl, policy_config(0, 1, 4));
+  EXPECT_EQ(policy.decide(5, ul_backlog()), (DecidedFormat{0, DecidedFormat::kAllSymbols}));
+  EXPECT_EQ(policy.decide(6, TddQueueState{}), DecidedFormat{});
+}
+
+TEST(DynamicTddSettingsTest, HoldOfOneSlotUpgradesOnlyTheTarget) {
+  const SlotFormatConfig all_dl{kMu2, {0}};
+  const DecidedFormat ul_upgrade{0, DecidedFormat::kAllSymbols};
+  DynamicFormatPolicy one(all_dl, policy_config(1, 1, 4));
+  EXPECT_EQ(one.decide(0, ul_backlog()), ul_upgrade);
+  EXPECT_EQ(one.decide(1, TddQueueState{}), DecidedFormat{});
+  // One slot more of hold keeps the next slot upgraded without demand.
+  DynamicFormatPolicy two(all_dl, policy_config(1, 2, 4));
+  EXPECT_EQ(two.decide(0, ul_backlog()), ul_upgrade);
+  EXPECT_EQ(two.decide(1, TddQueueState{}), ul_upgrade);
+  EXPECT_EQ(two.decide(2, TddQueueState{}), DecidedFormat{});
+}
+
+TEST(DynamicTddSettingsTest, UlGuardOfOneAlternatesDlUpgrades) {
+  // ul_guard_slots = 1: under standing DL demand every DL-upgraded slot is
+  // followed by a clean one.
+  const SlotFormatConfig all_ul{kMu2, {1}};
+  DynamicFormatPolicy policy(all_ul, policy_config(1, 1, 1));
+  for (SlotIndex k = 0; k < 8; ++k) {
+    const DecidedFormat f = policy.decide(k, dl_backlog());
+    EXPECT_EQ(f.added_dl, k % 2 == 0 ? DecidedFormat::kAllSymbols : 0) << "slot " << k;
+    EXPECT_EQ(f.added_ul, 0) << "slot " << k;
+  }
+  EXPECT_EQ(policy.upgraded_slots(), 4u);
 }
 
 // ===========================================================================

@@ -86,6 +86,67 @@ TEST(Table1Test, TighterDeadlineKillsEverything) {
   }
 }
 
+bool same_worst_case(const WorstCaseResult& a, const WorstCaseResult& b) {
+  return a.worst == b.worst && a.best == b.best && a.mean == b.mean &&
+         a.worst_arrival_offset == b.worst_arrival_offset && a.feasible == b.feasible;
+}
+
+TEST(Table1Test, ColumnsFollowTable1Configs) {
+  // One column per table1_configs() entry, in order, each with its cells in
+  // GrantBasedUl, GrantFreeUl, Downlink order.
+  const Table1 t = build_table1();
+  const auto cfgs = table1_configs();
+  ASSERT_EQ(t.columns.size(), cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const FeasibilityColumn& col = t.columns[i];
+    EXPECT_EQ(col.config_name, cfgs[i]->name());
+    EXPECT_EQ(col.period_render, cfgs[i]->render_period());
+    ASSERT_EQ(col.cells.size(), 3u);
+    EXPECT_EQ(col.cells[0].mode, AccessMode::GrantBasedUl);
+    EXPECT_EQ(col.cells[1].mode, AccessMode::GrantFreeUl);
+    EXPECT_EQ(col.cells[2].mode, AccessMode::Downlink);
+  }
+}
+
+TEST(Table1Test, CellsAreTheOfflineWorstCaseAgainstTheDeadline) {
+  // The batched service answers equal the offline analysis cell by cell,
+  // and a cell meets the deadline iff its worst case is feasible and fits.
+  const Table1 t = build_table1();
+  const auto cfgs = table1_configs();
+  ASSERT_EQ(t.columns.size(), cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    for (const FeasibilityCell& cell : t.columns[i].cells) {
+      const WorstCaseResult wc = analyze_worst_case(*cfgs[i], cell.mode, {});
+      EXPECT_TRUE(same_worst_case(cell.worst_case, wc)) << cfgs[i]->name();
+      EXPECT_EQ(cell.deadline, kUrllcOneWayDeadline);
+      EXPECT_EQ(cell.meets_deadline, wc.feasible && wc.worst <= kUrllcOneWayDeadline)
+          << cfgs[i]->name();
+    }
+  }
+}
+
+TEST(Table1Test, ModelParamsReachEveryCell) {
+  // Non-default model parameters travel with every query of the batch: a
+  // 1-symbol data transmission changes some worst cases, and each cell
+  // still equals the offline analysis under the same parameters.
+  LatencyModelParams p;
+  p.data_tx_symbols = 1;
+  const Table1 base = build_table1();
+  const Table1 t = build_table1(kUrllcOneWayDeadline, p);
+  const auto cfgs = table1_configs();
+  ASSERT_EQ(t.columns.size(), cfgs.size());
+  bool any_changed = false;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    for (std::size_t j = 0; j < t.columns[i].cells.size(); ++j) {
+      const FeasibilityCell& cell = t.columns[i].cells[j];
+      EXPECT_TRUE(same_worst_case(cell.worst_case, analyze_worst_case(*cfgs[i], cell.mode, p)))
+          << cfgs[i]->name();
+      any_changed |= !same_worst_case(cell.worst_case, base.columns[i].cells[j].worst_case);
+    }
+  }
+  EXPECT_TRUE(any_changed);
+}
+
 TEST(Table1Test, SlotFormatConfigsEvaluateThroughTheSameMachinery) {
   // The feasibility checker is config-agnostic: TS 38.213 slot-format
   // sequences slot directly in. Format 28 (DDDDDDDDDDDDFU) gives every slot

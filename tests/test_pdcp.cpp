@@ -279,6 +279,44 @@ TEST(CipherBatchTest, KeystreamBatchMatchesScalar) {
   }
 }
 
+TEST(CipherBatchTest, IntegrityBatchMatchesScalar) {
+  // The tags both fused kernels compute equal the scalar integrity_tag per
+  // job, whatever the job's place in its batch: the receive side's tag over
+  // the ciphered bytes reproduces the transmit side's, and a job's tag is
+  // the same alone as in a 12-job batch.
+  const CipherContext ctx{};
+  std::uint64_t state = 2;
+  for (std::size_t njobs = 1; njobs <= std::size(kBatchLens); ++njobs) {
+    std::vector<std::vector<std::uint8_t>> plain, data;
+    for (std::size_t i = 0; i < njobs; ++i) {
+      plain.push_back(random_bytes(state, kBatchLens[i]));
+      data.push_back(plain.back());
+    }
+    std::vector<CipherJob> jobs;
+    for (std::size_t i = 0; i < njobs; ++i) {
+      jobs.push_back(CipherJob{data[i], static_cast<std::uint32_t>(7 * i + 1)});
+    }
+    std::vector<std::uint32_t> tx_tags(njobs), rx_tags(njobs);
+    protect_payload_batch(jobs, ctx, tx_tags);
+    for (std::size_t i = 0; i < njobs; ++i) {
+      const auto count = static_cast<std::uint32_t>(7 * i + 1);
+      EXPECT_EQ(integrity_tag(data[i], ctx, count), tx_tags[i]) << "njobs=" << njobs << " job=" << i;
+
+      std::vector<std::uint8_t> alone = plain[i];
+      std::uint32_t alone_tag = 0;
+      const CipherJob one{alone, count};
+      protect_payload_batch(std::span<const CipherJob>(&one, 1), ctx,
+                            std::span<std::uint32_t>(&alone_tag, 1));
+      EXPECT_EQ(alone_tag, tx_tags[i]) << "njobs=" << njobs << " job=" << i;
+    }
+    verify_decipher_batch(jobs, ctx, rx_tags);
+    for (std::size_t i = 0; i < njobs; ++i) {
+      EXPECT_EQ(rx_tags[i], tx_tags[i]) << "njobs=" << njobs << " job=" << i;
+      EXPECT_EQ(data[i], plain[i]) << "njobs=" << njobs << " job=" << i;
+    }
+  }
+}
+
 TEST(CipherBatchTest, FusedProtectMatchesCipherThenTag) {
   // protect_payload_batch = apply_keystream then integrity_tag, per job, in
   // that order, because PDCP tags the *ciphered* bytes. The scalar kernels

@@ -166,6 +166,76 @@ TEST(RlcUmTest, DiscardHeadDropsTheSduAndAPartialHeadsSn) {
   EXPECT_FALSE(tx.has_data());
 }
 
+TEST(RlcUmTest, NeverRetransmits) {
+  // UM has no ARQ: a pulled PDU leaves the entity for good, and the SDU it
+  // carried is never offered again (HARQ below is the recovery loop).
+  RlcTx tx(RlcMode::UM);
+  tx.enqueue(payload(20), 0_ns);
+  const auto sent = tx.pull(64);
+  ASSERT_TRUE(sent.has_value());
+  EXPECT_FALSE(tx.has_data());
+  EXPECT_EQ(tx.queued_bytes(), 0u);
+  EXPECT_FALSE(tx.pull(64).has_value());
+
+  tx.enqueue(payload(20, 0x40), 1_us);
+  const auto next = tx.pull(64);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->sn, static_cast<std::uint16_t>(sent->sn + 1));
+  EXPECT_EQ(next->sdu_enqueued_at, 1_us);
+}
+
+TEST(RlcUmTest, SnWrapsAtTwelveBits) {
+  RlcTx tx(RlcMode::UM);
+  for (int i = 0; i < 4097; ++i) {
+    tx.enqueue(payload(4), 0_ns);
+    auto pdu = tx.pull(16);
+    ASSERT_TRUE(pdu.has_value());
+    const std::uint16_t want = static_cast<std::uint16_t>(i & 0x0FFF);
+    ASSERT_EQ(pdu->sn, want) << "sdu " << i;
+    const auto h = RlcHeader::decode(pdu->pdu);
+    ASSERT_TRUE(h.has_value());
+    ASSERT_EQ(h->sn, want) << "sdu " << i;
+  }
+}
+
+TEST(RlcUmTest, DeliveryCarriesTheSn) {
+  // Complete and reassembled SDUs both reach PDCP tagged with their RLC SN.
+  RlcTx tx(RlcMode::UM);
+  RlcRx rx(RlcMode::UM);
+  tx.enqueue(payload(10, 0x01), 0_ns);
+  tx.enqueue(payload(100, 0x02), 0_ns);
+  std::vector<std::uint16_t> tx_sns;
+  std::vector<std::uint16_t> rx_sns;
+  std::vector<ByteBuffer> out;
+  while (auto p = tx.pull(40)) {
+    if (tx_sns.empty() || tx_sns.back() != p->sn) tx_sns.push_back(p->sn);
+    rx.receive(std::move(p->pdu), [&](ByteBuffer&& s, const PacketMeta& m) {
+      rx_sns.push_back(m.sn);
+      out.push_back(std::move(s));
+    });
+  }
+  ASSERT_EQ(tx_sns.size(), 2u);
+  EXPECT_EQ(rx_sns, tx_sns);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(same_bytes(out[0], payload(10, 0x01)));
+  EXPECT_TRUE(same_bytes(out[1], payload(100, 0x02)));
+}
+
+TEST(RlcUmTest, MalformedPduDeliversNothing) {
+  RlcRx rx(RlcMode::UM);
+  int delivered = 0;
+  ByteBuffer runt(1);
+  EXPECT_FALSE(rx.receive(std::move(runt), [&](ByteBuffer&&, const PacketMeta&) { ++delivered; })
+                   .has_value());
+  // A Middle header whose SO field is cut off.
+  ByteBuffer cut(2);
+  cut.bytes()[0] = static_cast<std::uint8_t>(static_cast<int>(SegmentInfo::Middle) << 6);
+  EXPECT_FALSE(rx.receive(std::move(cut), [&](ByteBuffer&&, const PacketMeta&) { ++delivered; })
+                   .has_value());
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(rx.pending_reassemblies(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // UM: segmentation
 
@@ -244,6 +314,30 @@ TEST(SegmentationTest, MissingSegmentHoldsReassembly) {
   rx.receive(std::move(pdus.front()), [&](ByteBuffer&& s, const PacketMeta&) { out.push_back(std::move(s)); });
   rx.receive(std::move(pdus.back()), [&](ByteBuffer&& s, const PacketMeta&) { out.push_back(std::move(s)); });
   EXPECT_TRUE(out.empty());
+  EXPECT_EQ(rx.pending_reassemblies(), 1u);
+}
+
+TEST(SegmentationTest, LostSegmentDoesNotBlockLaterSdus) {
+  // UM reassembles per SN: an SDU with a lost segment stays pending, but
+  // the SDUs behind it still deliver (no head-of-line blocking in RLC;
+  // in-order delivery is PDCP's job).
+  RlcTx tx(RlcMode::UM);
+  RlcRx rx(RlcMode::UM);
+  tx.enqueue(payload(100, 0x44), 0_ns);
+  tx.enqueue(payload(20, 0x55), 0_ns);
+  std::vector<RlcTxPdu> pdus;
+  while (auto p = tx.pull(40)) pdus.push_back(std::move(*p));
+  ASSERT_GE(pdus.size(), 4u);  // >= 3 segments of SDU 0, then SDU 1 whole
+  ASSERT_EQ(pdus.back().sn, static_cast<std::uint16_t>(pdus.front().sn + 1));
+
+  std::vector<ByteBuffer> out;
+  for (std::size_t i = 0; i < pdus.size(); ++i) {
+    if (i == 1) continue;  // a middle segment of SDU 0 is lost
+    rx.receive(std::move(pdus[i].pdu),
+               [&](ByteBuffer&& s, const PacketMeta&) { out.push_back(std::move(s)); });
+  }
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(same_bytes(out[0], payload(20, 0x55)));
   EXPECT_EQ(rx.pending_reassemblies(), 1u);
 }
 

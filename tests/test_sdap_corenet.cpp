@@ -24,6 +24,19 @@ TEST(QosTest, UrllcRowIsDelayCritical) {
   EXPECT_DOUBLE_EQ(q.packet_error_rate, 1e-5);  // the paper's 99.999 %
 }
 
+TEST(QosTest, DefaultRowIsBestEffortFiveQi9) {
+  // A default FiveQi is the 5QI 9 row (buffered video, web): non-GBR, with
+  // a delay budget far looser than the URLLC row's and a lower priority.
+  const FiveQi d{};
+  EXPECT_EQ(d.value, 9);
+  EXPECT_EQ(d.resource, ResourceType::NonGBR);
+  EXPECT_FALSE(d.delay_critical());
+  EXPECT_EQ(d.packet_delay_budget, 300_ms);
+  const FiveQi u = urllc_five_qi();
+  EXPECT_LT(u.packet_delay_budget, d.packet_delay_budget);
+  EXPECT_LT(u.priority, d.priority);  // lower value = higher priority
+}
+
 // ---------------------------------------------------------------------------
 // SDAP
 

@@ -232,6 +232,24 @@ TEST(FddTest, FullDuplexEverywhere) {
   EXPECT_EQ(c.render_period(), "XXXXXXXXXXXXXX");
 }
 
+TEST(TddCommonConfigTest, GuardSymbolsAreNeitherDlNorUl) {
+  // The DL->UL switch gap is read off the masks: a guard symbol is one no
+  // direction may use. DU switches at a slot boundary (no guard); DM's
+  // mixed slot carries a 2-symbol guard, once per period.
+  const auto guard_symbols = [](const DuplexConfig& c) {
+    int n = 0;
+    for (SlotIndex slot = 0; slot < c.period_slots(); ++slot) {
+      const auto unused =
+          static_cast<std::uint16_t>(kSlotSymbolMask & ~(c.dl_mask(slot) | c.ul_mask(slot)));
+      for (int s = 0; s < kSymbolsPerSlot; ++s) n += (unused >> s) & 1;
+    }
+    return n;
+  };
+  EXPECT_EQ(guard_symbols(TddCommonConfig::du(kMu2)), 0);
+  EXPECT_EQ(guard_symbols(TddCommonConfig::dm(kMu2)), 2);
+  EXPECT_EQ(guard_symbols(FddConfig{kMu2}), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Slot-mask contract
 
