@@ -6,14 +6,17 @@
 //   1. **Analytic fast path** — `analyze_worst_case` over the duplex
 //      pattern, memoized in an LRU keyed on the pattern's *value identity*
 //      (direction map + granularity, never the pointer), the same way the
-//      TBS table memoizes `prbs_needed`. Warm queries are a lock, a hash
-//      and a map probe; answers are bit-identical to offline
+//      TBS table memoizes `prbs_needed`. The key's words sit inline in the
+//      `CanonicalWords`, and the LRU is a flat slab with an open-addressed
+//      index (common/lru.hpp), so a warm query is a lock, a hash, a probe
+//      and a relink, with no heap traffic; a miss that evicts reuses the
+//      LRU entry's node in place. Answers are bit-identical to offline
 //      `analyze_worst_case` because they are produced by the same code, once.
 //   2. **Sim-tail fallback** — stochastic quantiles the closed form cannot
 //      bound come from fixed-seed E2eSystem replications fanned over the
 //      PR-1 runner, merged in replication order (bitwise thread-count
 //      independent), cached in an LRU keyed on
-//      `StackConfig::canonical_words()` + mode + replication plan. The
+//      `StackConfig::append_canonical_words` + mode + replication plan. The
 //      cache stores the merged *sample set*, so one sim run answers any
 //      (deadline, quantile) follow-up for the same stack.
 //   3. **Batch API** — whole sweeps submit as one `QueryBatch`, answered

@@ -2,6 +2,20 @@
 
 namespace u5g {
 
+namespace {
+
+/// Bit k of a slot's 14-bit mask moved to bit 2k.
+std::uint64_t spread_bits(std::uint16_t m) {
+  std::uint64_t x = m & kSlotSymbolMask;
+  x = (x | (x << 8)) & 0x00FF'00FFULL;
+  x = (x | (x << 4)) & 0x0F0F'0F0FULL;
+  x = (x | (x << 2)) & 0x3333'3333ULL;
+  x = (x | (x << 1)) & 0x5555'5555ULL;
+  return x;
+}
+
+}  // namespace
+
 std::string DuplexConfig::render_period() const {
   std::string out;
   for (int s = 0; s < period_slots(); ++s) {
@@ -23,21 +37,18 @@ void DuplexConfig::append_value_words(CanonicalWords& words) const {
   words.add_signed(control_granularity_symbols());
   words.add_signed(control_symbols());
   // The direction map, two bits per symbol packed into words: bit 0 = DL
-  // capability, bit 1 = UL capability, in (slot, symbol) order.
+  // capability, bit 1 = UL capability, in (slot, symbol) order. A slot is
+  // its two 14-bit masks interleaved into 28 bits.
   std::uint64_t w = 0;
   int bits = 0;
   for (int s = 0; s < period_slots(); ++s) {
-    const std::uint16_t dl = dl_mask(s);
-    const std::uint16_t ul = ul_mask(s);
-    for (int k = 0; k < kSymbolsPerSlot; ++k) {
-      const std::uint64_t sym = ((dl >> k) & 1u) | (((ul >> k) & 1u) << 1);
-      w |= sym << bits;
-      bits += 2;
-      if (bits == 64) {
-        words.add(w);
-        w = 0;
-        bits = 0;
-      }
+    const std::uint64_t slot = spread_bits(dl_mask(s)) | (spread_bits(ul_mask(s)) << 1);
+    w |= slot << bits;
+    bits += 2 * kSymbolsPerSlot;
+    if (bits >= 64) {
+      words.add(w);
+      bits -= 64;
+      w = slot >> (2 * kSymbolsPerSlot - bits);
     }
   }
   if (bits > 0) words.add(w);

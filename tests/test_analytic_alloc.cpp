@@ -1,7 +1,9 @@
 // Allocation pins for the analytic path: the worst-case sweep performs no
 // heap allocation (it runs the timeline builders with step recording off),
-// and a warm feasibility-service hit allocates only its cache key. This is
-// its own binary because it replaces the global operator new.
+// a warm feasibility-service hit allocates nothing (its key sits inline, the
+// cache is a flat slab), and neither does a miss that evicts once the cache
+// is full. This is its own binary because it replaces the global operator
+// new.
 
 #include <gtest/gtest.h>
 
@@ -71,6 +73,7 @@ TEST(AnalyticAllocTest, WorstCaseSweepDoesNotAllocate) {
 }
 
 TEST(AnalyticAllocTest, WarmServiceHitAllocatesAtMostTheKey) {
+  // The key sits inline and the cache is flat, so "at most the key" is zero.
   FeasibilityService svc;
   for (auto& owned : table1_configs()) {
     const std::shared_ptr<const DuplexConfig> cfg = std::move(owned);
@@ -83,15 +86,47 @@ TEST(AnalyticAllocTest, WarmServiceHitAllocatesAtMostTheKey) {
       const FeasibilityVerdict warm = svc.query(q);
       std::size_t during = g_allocs.load() - before;
       ASSERT_TRUE(warm.analytic_cache_hit);
-      EXPECT_LE(during, 1u) << "query hit: " << cfg->name() << " " << to_string(mode);
+      EXPECT_EQ(during, 0u) << "query hit: " << cfg->name() << " " << to_string(mode);
 
       // The offline wrappers' entry point views `cfg` without a control block.
       before = g_allocs.load();
       const WorstCaseResult wc = svc.worst_case(*cfg, mode);
       during = g_allocs.load() - before;
       EXPECT_EQ(wc.worst, warm.worst_case.worst);
-      EXPECT_LE(during, 1u) << "worst_case hit: " << cfg->name() << " " << to_string(mode);
+      EXPECT_EQ(during, 0u) << "worst_case hit: " << cfg->name() << " " << to_string(mode);
     }
+  }
+}
+
+TEST(AnalyticAllocTest, EvictingMissAllocatesNothing) {
+  // A full four-entry cache: every Table 1 query below misses and evicts.
+  // analyze_worst_case allocates nothing (WorstCaseSweepDoesNotAllocate),
+  // so the whole query must not either.
+  FeasibilityService::Options opt;
+  opt.analytic_cache_capacity = 4;
+  FeasibilityService svc(opt);
+  const std::shared_ptr<const DuplexConfig> filler =
+      std::make_shared<TddCommonConfig>(TddCommonConfig::dddu(kMu1));
+  for (int i = 0; i < 4; ++i) {
+    LatencyModelParams p;
+    p.sender_processing = Nanos{1'000 * (i + 1)};
+    (void)svc.query(FeasibilityQuery::analytic(filler, AccessMode::Downlink, 1_ms, p));
+  }
+  ASSERT_EQ(svc.stats().evictions, 0u);
+
+  std::vector<FeasibilityQuery> queries;
+  for (auto& owned : table1_configs()) {
+    const std::shared_ptr<const DuplexConfig> cfg = std::move(owned);
+    for (AccessMode mode : kAllModes) queries.push_back(FeasibilityQuery::analytic(cfg, mode));
+  }
+  std::uint64_t evictions = svc.stats().evictions;
+  for (const FeasibilityQuery& q : queries) {
+    const std::size_t before = g_allocs.load();
+    const FeasibilityVerdict v = svc.query(q);
+    const std::size_t during = g_allocs.load() - before;
+    ASSERT_FALSE(v.analytic_cache_hit);
+    EXPECT_EQ(svc.stats().evictions, ++evictions) << q.duplex->name();
+    EXPECT_EQ(during, 0u) << "evicting miss: " << q.duplex->name() << " " << to_string(q.mode);
   }
 }
 

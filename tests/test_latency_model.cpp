@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,6 +34,31 @@ std::unique_ptr<DuplexConfig> make_config(const std::string& name) {
   return std::make_unique<FddConfig>(kMu2);
 }
 
+/// Access mode as an identifier fragment, for parameterized test names.
+const char* mode_tag(AccessMode m) {
+  return m == AccessMode::GrantBasedUl  ? "GrantBased"
+         : m == AccessMode::GrantFreeUl ? "GrantFree"
+                                        : "Downlink";
+}
+
+using ConfigMode = std::tuple<const char*, AccessMode>;
+
+std::string config_mode_name(const ::testing::TestParamInfo<ConfigMode>& info) {
+  return std::string{std::get<0>(info.param)} + "_" + mode_tag(std::get<1>(info.param));
+}
+
+}  // namespace
+
+// CMake's test discovery puts gtest's printout of each parameter into the
+// ctest name. The default printer shows a string literal's address and a
+// struct's raw bytes, padding included, which differ between builds; these
+// printers show the values. This one is found by ADL through AccessMode.
+void PrintTo(const ConfigMode& p, std::ostream* os) {
+  *os << std::get<0>(p) << ' ' << mode_tag(std::get<1>(p));
+}
+
+namespace {
+
 // ---------------------------------------------------------------------------
 // Table 1: all fifteen verdicts
 
@@ -40,6 +67,10 @@ struct Table1Case {
   AccessMode mode;
   bool paper_meets;  // Table 1's checkmark
 };
+
+void PrintTo(const Table1Case& c, std::ostream* os) {
+  *os << c.config << ' ' << mode_tag(c.mode) << (c.paper_meets ? " meets" : " misses");
+}
 
 class Table1Test : public ::testing::TestWithParam<Table1Case> {};
 
@@ -73,12 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
         Table1Case{"MU", AccessMode::Downlink, false},
         Table1Case{"MiniSlot", AccessMode::Downlink, true},
         Table1Case{"FDD", AccessMode::Downlink, true}),
-    [](const auto& info) {
-      return std::string{info.param.config} + "_" +
-             (info.param.mode == AccessMode::GrantBasedUl  ? "GrantBased"
-              : info.param.mode == AccessMode::GrantFreeUl ? "GrantFree"
-                                                           : "Downlink");
-    });
+    [](const auto& info) { return std::string{info.param.config} + "_" + mode_tag(info.param.mode); });
 
 // ---------------------------------------------------------------------------
 // Fig 4: the DM worst cases
@@ -120,8 +146,7 @@ TEST(Fig4Test, WorstCaseArrivalIsJustAfterAnOpportunity) {
 // ---------------------------------------------------------------------------
 // Timeline invariants
 
-class TimelineInvariantTest
-    : public ::testing::TestWithParam<std::tuple<const char*, AccessMode>> {};
+class TimelineInvariantTest : public ::testing::TestWithParam<ConfigMode> {};
 
 TEST_P(TimelineInvariantTest, StepsAreContiguousAndCategorised) {
   const auto [name, mode] = GetParam();
@@ -157,7 +182,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllConfigsModes, TimelineInvariantTest,
     ::testing::Combine(::testing::Values("DU", "DM", "MU", "MiniSlot", "FDD"),
                        ::testing::Values(AccessMode::GrantBasedUl, AccessMode::GrantFreeUl,
-                                         AccessMode::Downlink)));
+                                         AccessMode::Downlink)),
+    config_mode_name);
 
 TEST(TimelineTest, ProcessingShiftsCompletion) {
   const FddConfig fdd{kMu2};
@@ -257,8 +283,7 @@ TEST(TimelineTest, InfeasibleConfigReported) {
 // ---------------------------------------------------------------------------
 // Worst-case sweep structure
 
-class WorstCaseStructureTest
-    : public ::testing::TestWithParam<std::tuple<const char*, AccessMode>> {};
+class WorstCaseStructureTest : public ::testing::TestWithParam<ConfigMode> {};
 
 TEST_P(WorstCaseStructureTest, BestLeMeanLeWorst) {
   const auto [name, mode] = GetParam();
@@ -278,7 +303,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllConfigsModes, WorstCaseStructureTest,
     ::testing::Combine(::testing::Values("DU", "DM", "MU", "MiniSlot", "FDD"),
                        ::testing::Values(AccessMode::GrantBasedUl, AccessMode::GrantFreeUl,
-                                         AccessMode::Downlink)));
+                                         AccessMode::Downlink)),
+    config_mode_name);
 
 TEST(WorstCaseTest, PeriodShiftInvariance) {
   // The sweep is anchored periods away from zero; shifting the arrival by

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "common/stats.hpp"
 #include "os/jitter.hpp"
 #include "os/proc_time.hpp"
@@ -153,6 +156,12 @@ struct LayerCase {
   double std_us;
 };
 
+/// The parameter as gtest prints it into the ctest name (the default
+/// printer shows raw bytes, padding included).
+void PrintTo(const LayerCase& c, std::ostream* os) {
+  *os << to_string(c.layer) << " mean " << c.mean_us << " us std " << c.std_us << " us";
+}
+
 class ProcessingCalibrationTest : public ::testing::TestWithParam<LayerCase> {};
 
 TEST_P(ProcessingCalibrationTest, MatchesTable2Moments) {
@@ -169,7 +178,8 @@ INSTANTIATE_TEST_SUITE_P(Table2, ProcessingCalibrationTest,
                                            LayerCase{Layer::PDCP, 8.29, 8.99},
                                            LayerCase{Layer::RLC, 4.12, 8.37},
                                            LayerCase{Layer::MAC, 55.21, 16.31},
-                                           LayerCase{Layer::PHY, 41.55, 10.83}));
+                                           LayerCase{Layer::PHY, 41.55, 10.83}),
+                         [](const auto& info) { return std::string{to_string(info.param.layer)}; });
 
 TEST(ProcessingModelTest, ZeroProfileIsZero) {
   ProcessingModel m{ProcessingProfile::zero(), Rng{12}};

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "rlc/rlc_entity.hpp"
@@ -38,6 +40,19 @@ struct HeaderCase {
   bool poll;
 };
 
+std::string header_case_name(const HeaderCase& c) {
+  const char* si = c.si == SegmentInfo::Complete ? "Complete"
+                   : c.si == SegmentInfo::First  ? "First"
+                   : c.si == SegmentInfo::Middle ? "Middle"
+                                                 : "Last";
+  return std::string{si} + "_sn" + std::to_string(c.sn) + "_so" + std::to_string(c.so) +
+         (c.poll ? "_poll" : "");
+}
+
+/// The parameter as gtest prints it into the ctest name (the default
+/// printer shows raw bytes, padding included).
+void PrintTo(const HeaderCase& c, std::ostream* os) { *os << header_case_name(c); }
+
 class RlcHeaderTest : public ::testing::TestWithParam<HeaderCase> {};
 
 TEST_P(RlcHeaderTest, EncodeDecodeRoundTrip) {
@@ -64,7 +79,8 @@ INSTANTIATE_TEST_SUITE_P(
                       HeaderCase{SegmentInfo::Complete, 4095, 0, true},
                       HeaderCase{SegmentInfo::First, 17, 0, false},
                       HeaderCase{SegmentInfo::Middle, 100, 5'000, false},
-                      HeaderCase{SegmentInfo::Last, 2'222, 65'000, true}));
+                      HeaderCase{SegmentInfo::Last, 2'222, 65'000, true}),
+    [](const auto& info) { return header_case_name(info.param); });
 
 TEST(RlcHeaderTest, TruncatedDecode) {
   ByteBuffer one(1);

@@ -1,5 +1,6 @@
 // Tests for the feasibility-query service (src/serve/) and its foundations:
-// the canonical word stream + LRU cache (src/common/), DuplexConfig value
+// the canonical word stream + LRU cache (src/common/; the cache is checked
+// step by step against the list + map LRU it replaced), DuplexConfig value
 // identity, the StackConfig canonical word stream, and the service's
 // correctness contract — answers bit-identical to the offline analytic path
 // for every Table 1 config x access mode, cache hits identical to cold
@@ -8,14 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <list>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hashing.hpp"
 #include "common/lru.hpp"
+#include "common/rng.hpp"
 #include "core/feasibility.hpp"
 #include "core/stack_config.hpp"
 #include "serve/feasibility_service.hpp"
@@ -94,6 +102,86 @@ TEST(CanonicalWordsTest, DoubleIdentityIsBitwise) {
   EXPECT_NE(a, b);  // distinct bit patterns are distinct identities
 }
 
+/// `n` distinct words seeded by `salt`.
+std::vector<std::uint64_t> words_of(std::size_t n, std::uint64_t salt) {
+  std::vector<std::uint64_t> w(n);
+  for (std::size_t i = 0; i < n; ++i) w[i] = hash_mix64(salt * 1'000'003 + i);
+  return w;
+}
+
+CanonicalWords stream_of(const std::vector<std::uint64_t>& words) {
+  CanonicalWords k;
+  for (std::uint64_t w : words) k.add(w);
+  return k;
+}
+
+/// hash()'s definition, restated: a length-seeded SplitMix64 chain.
+std::uint64_t reference_fold(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = hash_mix64(words.size());
+  for (std::uint64_t w : words) h = hash_mix64(h ^ w);
+  return h;
+}
+
+constexpr std::size_t kInline = CanonicalWords::kInlineWords;
+
+TEST(CanonicalWordsTest, InlineBoundaryKeepsValueIdentity) {
+  for (std::size_t n : {kInline - 1, kInline, kInline + 1, 2 * kInline + 3}) {
+    const std::vector<std::uint64_t> words = words_of(n, 1);
+    const CanonicalWords a = stream_of(words);
+    const CanonicalWords b = stream_of(words);
+    EXPECT_EQ(a.size(), n);
+    EXPECT_TRUE(std::ranges::equal(a.words(), words)) << n;
+    EXPECT_EQ(a, b) << n;
+    EXPECT_EQ(a.hash(), reference_fold(words)) << n;
+
+    std::vector<std::uint64_t> last_differs = words;
+    last_differs.back() ^= 1;
+    EXPECT_NE(a, stream_of(last_differs)) << n;
+    EXPECT_NE(a.hash(), stream_of(last_differs).hash()) << n;
+
+    std::vector<std::uint64_t> one_more = words;
+    one_more.push_back(0);
+    EXPECT_NE(a, stream_of(one_more)) << n;
+    EXPECT_NE(a.hash(), stream_of(one_more).hash()) << n;
+
+    // A reservation for a long stream does not change its identity.
+    CanonicalWords reserved;
+    reserved.reserve(2 * kInline);
+    for (std::uint64_t w : words) reserved.add(w);
+    EXPECT_EQ(reserved, a) << n;
+    EXPECT_EQ(reserved.hash(), a.hash()) << n;
+  }
+}
+
+TEST(CanonicalWordsTest, CopyAssignAcrossTheInlineBoundary) {
+  const std::vector<std::uint64_t> short_words = words_of(kInline, 2);
+  const std::vector<std::uint64_t> long_words = words_of(kInline + 1, 3);
+  const CanonicalWords inline_key = stream_of(short_words);
+  const CanonicalWords spilled_key = stream_of(long_words);
+
+  CanonicalWords x = spilled_key;
+  x = inline_key;  // inline over spilled
+  EXPECT_EQ(x, inline_key);
+  EXPECT_EQ(x.hash(), reference_fold(short_words));
+  EXPECT_EQ(spilled_key, stream_of(long_words));  // the source is untouched
+  x.add(7);  // and the copy grows past the array like a fresh stream
+  std::vector<std::uint64_t> grown = short_words;
+  grown.push_back(7);
+  EXPECT_EQ(x, stream_of(grown));
+  EXPECT_EQ(x.hash(), reference_fold(grown));
+
+  CanonicalWords y = inline_key;
+  y = spilled_key;  // spilled over inline
+  EXPECT_EQ(y, spilled_key);
+  EXPECT_EQ(y.hash(), reference_fold(long_words));
+  EXPECT_EQ(inline_key, stream_of(short_words));
+  y.add(9);
+  grown = long_words;
+  grown.push_back(9);
+  EXPECT_EQ(y, stream_of(grown));
+  EXPECT_EQ(y.hash(), reference_fold(grown));
+}
+
 // ---------------------------------------------------------------------------
 // LruCache
 
@@ -135,6 +223,135 @@ TEST(LruCacheTest, HitRateCounts) {
   EXPECT_EQ(cache.find(2), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+/// The list + unordered_map LRU that LruCache's flat slab replaced, kept as
+/// the oracle for LruDifferentialTest: same interface, exact LRU order.
+template <typename Key, typename Value, typename Hash = std::hash<Key>>
+class ListLruOracle {
+ public:
+  using Stats = typename LruCache<Key, Value, Hash>::Stats;
+
+  explicit ListLruOracle(std::size_t capacity) : capacity_(capacity) {}
+
+  [[nodiscard]] const Value* find(const Key& key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    ++stats_.hits;
+    order_.splice(order_.begin(), order_, it->second);
+    return &it->second->second;
+  }
+
+  void insert(const Key& key, Value value) {
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      it->second->second = std::move(value);
+      order_.splice(order_.begin(), order_, it->second);
+      return;
+    }
+    if (capacity_ == 0) return;
+    order_.emplace_front(key, std::move(value));
+    index_.emplace(key, order_.begin());
+    while (index_.size() > capacity_) {
+      index_.erase(order_.back().first);
+      order_.pop_back();
+      ++stats_.evictions;
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
+
+ private:
+  std::size_t capacity_;
+  std::list<std::pair<Key, Value>> order_;  ///< front = most recently used
+  std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator, Hash> index_;
+  Stats stats_;
+};
+
+/// Four hash values for every int key: long probe runs that wrap around
+/// the index, so backward-shift erases move entries across the end.
+struct ClusteringHash {
+  [[nodiscard]] std::size_t operator()(int k) const { return static_cast<std::size_t>(k & 3); }
+};
+
+constexpr std::size_t kDiffCapacities[] = {0, 1, 2, 3, 17, 256};
+
+/// Drives LruCache and the oracle through one seeded sequence of finds,
+/// inserts and overwrites over a key universe about 3x the capacity, and
+/// compares them after every operation.
+template <typename Key, typename Value, typename Hash, typename MakeKey, typename MakeValue>
+void expect_same_as_oracle(std::size_t capacity, std::uint64_t seed, MakeKey make_key,
+                           MakeValue make_value) {
+  LruCache<Key, Value, Hash> flat(capacity);
+  ListLruOracle<Key, Value, Hash> oracle(capacity);
+  Rng rng(seed);
+  const std::uint64_t universe = 3 * capacity + 5;
+  const int ops = 2'000 + 40 * static_cast<int>(capacity);
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t id = rng.uniform_int(universe);
+    const Key key = make_key(id);
+    if (rng.uniform_int(2) == 0) {
+      const Value* got = flat.find(key);
+      const Value* want = oracle.find(key);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "capacity " << capacity << " op " << op;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want) << "capacity " << capacity << " op " << op;
+      }
+    } else {
+      const Value v = make_value(rng.next_u64());
+      flat.insert(key, v);
+      oracle.insert(key, v);
+    }
+    ASSERT_EQ(flat.size(), oracle.size()) << "capacity " << capacity << " op " << op;
+    ASSERT_LE(flat.size(), capacity);
+    ASSERT_EQ(flat.stats().hits, oracle.stats().hits) << "capacity " << capacity << " op " << op;
+    ASSERT_EQ(flat.stats().misses, oracle.stats().misses);
+    ASSERT_EQ(flat.stats().evictions, oracle.stats().evictions)
+        << "capacity " << capacity << " op " << op;
+  }
+}
+
+int int_key(std::uint64_t id) { return static_cast<int>(id); }
+int int_value(std::uint64_t r) { return static_cast<int>(r % 1'000'000); }
+
+TEST(LruDifferentialTest, IntKeysMatchTheListOracle) {
+  for (std::size_t cap : kDiffCapacities) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      expect_same_as_oracle<int, int, std::hash<int>>(cap, seed, int_key, int_value);
+    }
+  }
+}
+
+TEST(LruDifferentialTest, CollidingHashesMatchTheListOracle) {
+  for (std::size_t cap : kDiffCapacities) {
+    for (std::uint64_t seed : {4u, 5u, 6u}) {
+      expect_same_as_oracle<int, int, ClusteringHash>(cap, seed, int_key, int_value);
+    }
+  }
+}
+
+TEST(LruDifferentialTest, CanonicalKeysBothSidesOfTheInlineSizeMatchTheListOracle) {
+  // Key lengths straddle the inline array: N-1, N, N+1 and 2N words.
+  const auto key = [](std::uint64_t id) {
+    const std::size_t lengths[] = {kInline - 1, kInline, kInline + 1, 2 * kInline};
+    return stream_of(words_of(lengths[id % 4], id));
+  };
+  const auto value = [](std::uint64_t r) { return std::to_string(r); };
+  for (std::size_t cap : kDiffCapacities) {
+    for (std::uint64_t seed : {7u, 8u}) {
+      expect_same_as_oracle<CanonicalWords, std::string, CanonicalWordsHash>(cap, seed, key,
+                                                                             value);
+    }
+  }
+}
+
+TEST(LruCacheTest, CapacityPastTheIndexRangeThrows) {
+  EXPECT_NO_THROW((LruCache<int, int>(std::size_t{1} << 30)));  // allocates nothing up front
+  EXPECT_THROW((LruCache<int, int>((std::size_t{1} << 30) + 1)), std::length_error);
 }
 
 // ---------------------------------------------------------------------------

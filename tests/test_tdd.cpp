@@ -365,7 +365,8 @@ TEST(ValueIdentityPinTest, RenderAndWordsAreStable) {
     EXPECT_EQ(pin.cfg->render_period(), pin.render) << pin.cfg->name();
     CanonicalWords words;
     pin.cfg->append_value_words(words);
-    EXPECT_EQ(words.words(), pin.words) << pin.cfg->name();
+    EXPECT_EQ(std::vector<std::uint64_t>(words.words().begin(), words.words().end()), pin.words)
+        << pin.cfg->name();
     EXPECT_EQ(pin.cfg->value_word_count(), pin.words.size()) << pin.cfg->name();
   }
 }
