@@ -23,7 +23,7 @@ struct Outcome {
 
 Outcome run(Nanos sr_period, std::uint64_t seed) {
   StackConfig cfg = StackConfig::testbed_grant_based(seed);
-  cfg.sr = SrConfig{sr_period, 1, 8};
+  cfg.sr = SrConfig{sr_period, 1};
   E2eSystem sys(std::move(cfg));
   Rng rng(seed + 1);
   const Nanos pattern = 2_ms;

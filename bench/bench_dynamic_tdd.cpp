@@ -51,7 +51,7 @@ StackConfig zero_jitter_config(std::shared_ptr<const DuplexConfig> duplex, Acces
   cfg.ue_proc = ProcessingProfile::zero();
   cfg.gnb_radio = RadioHeadParams::ideal();
   cfg.ue_radio = RadioHeadParams::ideal();
-  cfg.phy = PhyTimingParams{Nanos::zero(), Nanos::zero(), Nanos::zero(), Nanos::zero(), 0};
+  cfg.phy = PhyTimingParams{Nanos::zero(), Nanos::zero()};
   cfg.upf = UpfParams{Nanos::zero(), Nanos::zero(), 0.0, Nanos::zero()};
   cfg.seed = 1;
   if (mode == AccessMode::GrantFreeUl) {

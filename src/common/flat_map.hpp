@@ -102,11 +102,6 @@ class FlatHashMap {
     return true;
   }
 
-  void clear() {
-    for (Entry& e : table_) e.used = false;
-    count_ = 0;
-  }
-
   /// Pre-size the table for at least `n` entries without rehashing later.
   void reserve(std::size_t n) {
     std::size_t cap = kMinCapacity;

@@ -42,13 +42,6 @@ class SmallVec {
       o.clear();
     }
   }
-  SmallVec& operator=(SmallVec&& o) noexcept {
-    if (this != &o) {
-      this->~SmallVec();
-      ::new (this) SmallVec(std::move(o));
-    }
-    return *this;
-  }
 
   ~SmallVec() {
     clear();

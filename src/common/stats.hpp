@@ -3,11 +3,10 @@
 // (Welford), fixed-bin histograms for latency distributions (Fig 6), and
 // exact percentiles over retained samples for reliability analysis (§6).
 //
-// Every accumulator is mergeable: `a.merge(b)` equals having fed b's samples
-// into `a` after a's own (for SampleSet, in b's insertion order). The
-// parallel Monte-Carlo runner (sim/runner.hpp) relies on this to combine
-// per-replication accumulators in index order, making merged statistics
-// independent of the thread count.
+// SampleSet is mergeable: `a.merge(b)` equals having fed b's samples into
+// `a` after a's own, in b's insertion order. The parallel Monte-Carlo runner
+// (sim/runner.hpp) relies on this to combine per-replication accumulators in
+// index order, making merged statistics independent of the thread count.
 
 #include <algorithm>
 #include <cmath>
@@ -43,18 +42,6 @@ class RunningStats {
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
 
-  void merge(const RunningStats& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) { *this = o; return; }
-    const auto n1 = static_cast<double>(n_), n2 = static_cast<double>(o.n_);
-    const double d = o.mean_ - mean_;
-    mean_ += d * n2 / (n1 + n2);
-    m2_ += o.m2_ + d * d * n1 * n2 / (n1 + n2);
-    n_ += o.n_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-  }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -85,17 +72,6 @@ class Histogram {
   [[nodiscard]] double bin_lo(std::size_t i) const { return lo_ + width() * static_cast<double>(i); }
   [[nodiscard]] double probability(std::size_t i) const {
     return total_ == 0 ? 0.0 : static_cast<double>(bins_[i]) / static_cast<double>(total_);
-  }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Merge a histogram with the identical binning (lo, hi, bin count);
-  /// throws std::invalid_argument on a geometry mismatch.
-  void merge(const Histogram& o) {
-    if (lo_ != o.lo_ || hi_ != o.hi_ || bins_.size() != o.bins_.size()) {
-      throw std::invalid_argument{"Histogram::merge: binning mismatch"};
-    }
-    for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += o.bins_[i];
-    total_ += o.total_;
   }
 
  private:

@@ -35,7 +35,6 @@ class Nanos {
 
   friend constexpr Nanos operator+(Nanos a, Nanos b) { return Nanos{a.ns_ + b.ns_}; }
   friend constexpr Nanos operator-(Nanos a, Nanos b) { return Nanos{a.ns_ - b.ns_}; }
-  constexpr Nanos operator-() const { return Nanos{-ns_}; }
   friend constexpr Nanos operator*(Nanos a, std::int64_t k) { return Nanos{a.ns_ * k}; }
   friend constexpr Nanos operator*(std::int64_t k, Nanos a) { return Nanos{k * a.ns_}; }
   friend constexpr Nanos operator/(Nanos a, std::int64_t k) { return Nanos{a.ns_ / k}; }
@@ -53,19 +52,13 @@ class Nanos {
 };
 
 namespace literals {
-constexpr Nanos operator""_ns(unsigned long long v) { return Nanos{static_cast<std::int64_t>(v)}; }
 constexpr Nanos operator""_us(unsigned long long v) { return Nanos{static_cast<std::int64_t>(v) * 1'000}; }
 constexpr Nanos operator""_ms(unsigned long long v) { return Nanos{static_cast<std::int64_t>(v) * 1'000'000}; }
-constexpr Nanos operator""_s(unsigned long long v) { return Nanos{static_cast<std::int64_t>(v) * 1'000'000'000}; }
 }  // namespace literals
 
 /// Nanos from a floating-point microsecond count (rounds to nearest ns).
 [[nodiscard]] constexpr Nanos from_us(double us) {
   return Nanos{static_cast<std::int64_t>(us * 1e3 + (us >= 0 ? 0.5 : -0.5))};
-}
-/// Nanos from a floating-point millisecond count (rounds to nearest ns).
-[[nodiscard]] constexpr Nanos from_ms(double ms) {
-  return Nanos{static_cast<std::int64_t>(ms * 1e6 + (ms >= 0 ? 0.5 : -0.5))};
 }
 
 /// First multiple of `step` (relative to phase `origin`) at or after `t`.

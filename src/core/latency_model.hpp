@@ -53,8 +53,6 @@ struct LatencyModelParams {
   Nanos sr_decode{};            ///< gNB time from SR end until scheduler aware
   Nanos radio_tx{};             ///< sender radio latency (bus + DAC), per §4
   Nanos radio_rx{};             ///< receiver radio latency (ADC + bus)
-
-  static LatencyModelParams idealised() { return {}; }
 };
 
 /// One labelled interval of a transmission timeline.

@@ -99,7 +99,6 @@ void StackConfig::append_canonical_words(CanonicalWords& w) const {
   w.add_bool(grant_free);
   append(w, sr.periodicity);
   w.add_signed(sr.sr_symbols);
-  w.add_signed(sr.max_transmissions);
   append(w, cg.periodicity);
   w.add_signed(cg.tx_symbols);
   w.add(cg.tb_bytes);
@@ -130,9 +129,6 @@ void StackConfig::append_canonical_words(CanonicalWords& w) const {
   append(w, ue_radio);
   append(w, phy.encode_base);
   append(w, phy.encode_per_cb);
-  append(w, phy.decode_base);
-  append(w, phy.decode_per_cb);
-  w.add_signed(phy.decode_harq_extra_pct);
   append(w, upf.forwarding_latency);
   append(w, upf.backhaul_latency);
   w.add_double(upf.embb_load);
@@ -182,6 +178,19 @@ void StackConfig::validate() const {
   if (num_ues < 1) throw std::invalid_argument{"StackConfig: num_ues must be >= 1"};
   if (harq_max_tx < 1) throw std::invalid_argument{"StackConfig: harq_max_tx must be >= 1"};
   if (num_cells < 1) throw std::invalid_argument{"StackConfig: num_cells must be >= 1"};
+  // A zero-symbol SR or occasion has no uplink window (next_ul_tx returns
+  // none), so every packet would wait forever, neither delivered nor lost.
+  if (sr.sr_symbols < 1) throw std::invalid_argument{"StackConfig: sr.sr_symbols must be >= 1"};
+  if (cg.tx_symbols < 1) throw std::invalid_argument{"StackConfig: cg.tx_symbols must be >= 1"};
+  if (sr.periodicity < Nanos::zero()) {
+    throw std::invalid_argument{"StackConfig: sr.periodicity must be >= 0"};
+  }
+  if (cg.periodicity < Nanos::zero()) {
+    throw std::invalid_argument{"StackConfig: cg.periodicity must be >= 0"};
+  }
+  if (pdcp_t_reordering < Nanos::zero()) {
+    throw std::invalid_argument{"StackConfig: pdcp_t_reordering must be >= 0"};
+  }
   if (!(channel_loss >= 0.0 && channel_loss <= 1.0)) {
     throw std::invalid_argument{"StackConfig: channel_loss must lie in [0, 1]"};
   }

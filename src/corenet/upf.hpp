@@ -23,9 +23,6 @@ struct UpfParams {
   Nanos embb_queue_mean{200'000};    ///< queuing behind eMBB bursts when shared
 
   static UpfParams dedicated_urllc() { return {}; }
-  static UpfParams shared_with_embb(double load) {
-    return {Nanos{15'000}, Nanos{50'000}, load, Nanos{200'000}};
-  }
 };
 
 /// Stateless-per-packet UPF: tunnel table + latency draws.
@@ -35,7 +32,6 @@ class Upf {
 
   /// Register a tunnel endpoint id for a UE session.
   void bind_session(std::uint32_t teid, std::uint32_t ue_address) { sessions_[teid] = ue_address; }
-  [[nodiscard]] bool has_session(std::uint32_t teid) const { return sessions_.contains(teid); }
 
   /// Uplink: strip the tunnel, return the processing+queuing latency to add,
   /// or nullopt when the packet is malformed / unknown TEID (dropped).
@@ -52,7 +48,6 @@ class Upf {
   }
 
   [[nodiscard]] Nanos backhaul() const { return p_.backhaul_latency; }
-  [[nodiscard]] const UpfParams& params() const { return p_; }
 
  private:
   Nanos latency_draw() {

@@ -85,7 +85,6 @@ class GilbertElliott {
   }
 
   [[nodiscard]] bool in_bad_state() const { return bad_; }
-  [[nodiscard]] const Params& params() const { return p_; }
 
  private:
   Params p_;

@@ -35,7 +35,6 @@ struct FaultWindow {
 
   /// Active from t=0 for the whole run (the natural choice for BurstLoss).
   static FaultWindow always() { return {}; }
-  static FaultWindow once(Nanos start, Nanos duration) { return {start, duration, Nanos::zero()}; }
   static FaultWindow periodic(Nanos start, Nanos duration, Nanos period) {
     return {start, duration, period};
   }

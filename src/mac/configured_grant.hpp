@@ -73,9 +73,6 @@ class ConfiguredGrant {
   /// Occasions per second this configuration reserves — the §9 waste metric.
   [[nodiscard]] double occasions_per_second(const DuplexConfig& duplex) const;
 
-  [[nodiscard]] UeId ue() const { return ue_; }
-  [[nodiscard]] const ConfiguredGrantConfig& config() const { return cfg_; }
-
  private:
   UeId ue_;
   ConfiguredGrantConfig cfg_;

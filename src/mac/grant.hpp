@@ -18,8 +18,6 @@ struct UlGrant {
   std::size_t tb_bytes = 0;
   HarqId harq{};
   bool configured = false;  ///< true when this is a grant-free occasion
-
-  [[nodiscard]] Nanos duration() const { return tx_end - tx_start; }
 };
 
 /// Downlink assignment: the gNB's decision to serve a UE in a DL window.

@@ -37,7 +37,6 @@ class ArrivalPredictor {
   [[nodiscard]] Nanos period_estimate() const { return from_double(period_); }
   /// RMS prediction error estimate — how much margin an allocation needs.
   [[nodiscard]] Nanos jitter_estimate() const { return from_double(jitter_rms_); }
-  [[nodiscard]] int observations() const { return count_; }
   [[nodiscard]] bool warmed_up() const { return count_ >= min_obs_; }
 
  private:

@@ -80,8 +80,6 @@ class PreemptionLedger {
     return n;
   }
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
  private:
   std::vector<Entry> entries_;
   std::uint64_t next_token_ = 0;

@@ -21,18 +21,16 @@ struct SrConfig {
   Nanos periodicity{};
   /// SR transmission length in symbols (one-bit PUCCH format 0: 1 symbol).
   int sr_symbols = 1;
-  /// Max SRs before the UE gives up (sr-TransMax).
-  int max_transmissions = 8;
 
   /// Idealised: SR possible at any UL symbol (periodicity = 0 means "every
   /// symbol"). Matches the §5 analysis.
-  static SrConfig every_symbol() { return {Nanos::zero(), 1, 8}; }
+  static SrConfig every_symbol() { return {Nanos::zero(), 1}; }
 
   /// One SR opportunity per slot — the software-testbed configuration.
-  static SrConfig per_slot(Numerology num) { return {num.slot_duration(), 1, 8}; }
+  static SrConfig per_slot(Numerology num) { return {num.slot_duration(), 1}; }
 };
 
-/// UE-side SR state machine.
+/// UE-side SR opportunity lookup.
 class SrProcedure {
  public:
   explicit SrProcedure(SrConfig cfg) : cfg_(cfg) {}
@@ -56,15 +54,8 @@ class SrProcedure {
     return next_ul_tx(duplex, from, cfg_.sr_symbols);
   }
 
-  void on_sr_sent() { ++count_; }
-  void reset() { count_ = 0; }
-  [[nodiscard]] bool exhausted() const { return count_ >= cfg_.max_transmissions; }
-  [[nodiscard]] int transmissions() const { return count_; }
-  [[nodiscard]] const SrConfig& config() const { return cfg_; }
-
  private:
   SrConfig cfg_;
-  int count_ = 0;
 };
 
 }  // namespace u5g

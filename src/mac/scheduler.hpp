@@ -69,12 +69,6 @@ class MacScheduler {
   /// served in the first DL granule whose start the radio pipeline can meet.
   [[nodiscard]] std::optional<DlAssignment> plan_dl(UeId ue, Nanos ready, std::size_t tb_bytes);
 
-  /// Forget all booked windows (new simulation run).
-  void reset() {
-    ul_booked_until_ = Nanos::zero();
-    dl_booked_until_ = Nanos::zero();
-  }
-
   /// Bytes one DL window of `n_symbols` symbols can physically carry at the
   /// configured (dl_prbs, dl_mcs_index) allocation. The same few symbol
   /// counts recur for every served TB, so results are memoized — the TBS

@@ -86,9 +86,6 @@ struct NodeStack {
   NodeCompute compute;
   std::vector<BearerChain> uplink_chains;    ///< UE transmits, gNB receives
   std::vector<BearerChain> downlink_chains;  ///< gNB transmits, UE receives
-
-  // Convenience for single-peer nodes (a UE).
-  ProcessingModel& proc_model() { return compute.proc; }
 };
 
 }  // namespace u5g

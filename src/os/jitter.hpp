@@ -61,7 +61,6 @@ class OsJitterModel {
     return Nanos{ns};
   }
 
-  [[nodiscard]] const JitterParams& params() const { return p_; }
 
  private:
   JitterParams p_;

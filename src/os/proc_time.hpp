@@ -103,7 +103,6 @@ class ProcessingModel {
     return from_us(fits_[i].sample(rng_) * p_.scale);
   }
 
-  [[nodiscard]] const ProcessingProfile& profile() const { return p_; }
   void set_scale(double s) { p_.scale = s; }
 
  private:

@@ -25,7 +25,6 @@ struct PdcpConfig {
   CipherContext security{};
 
   [[nodiscard]] std::uint32_t sn_modulus() const { return 1u << sn_bits; }
-  [[nodiscard]] std::uint32_t window_size() const { return sn_modulus() / 2; }
   [[nodiscard]] std::size_t header_bytes() const { return sn_bits == 12 ? 2 : 3; }
 };
 
@@ -44,7 +43,6 @@ class PdcpTx {
   void protect_batch(std::span<ByteBuffer*> sdus);
 
   [[nodiscard]] std::uint32_t next_count() const { return next_count_; }
-  [[nodiscard]] const PdcpConfig& config() const { return cfg_; }
 
  private:
   PdcpConfig cfg_;

@@ -21,9 +21,6 @@ class LinkModel {
  public:
   explicit LinkModel(double snr_db, double slope_db = 0.8) : snr_db_(snr_db), slope_db_(slope_db) {}
 
-  [[nodiscard]] double snr_db() const { return snr_db_; }
-  void set_snr_db(double snr) { snr_db_ = snr; }
-
   /// Decoding threshold for an MCS: SNR needed for ~50 % BLER.
   [[nodiscard]] static double threshold_db(const McsEntry& mcs);
 
@@ -78,10 +75,5 @@ class MmWaveBlockage {
   bool blocked_ = false;
   Nanos next_toggle_{0};
 };
-
-/// Simple propagation: distance / c. 300 m cell => 1 µs.
-[[nodiscard]] constexpr Nanos propagation_delay(double distance_m) {
-  return Nanos{static_cast<std::int64_t>(distance_m / 299'792'458.0 * 1e9 + 0.5)};
-}
 
 }  // namespace u5g

@@ -1,6 +1,6 @@
 #pragma once
-// Frame/slot/symbol clock: bidirectional mapping between the simulated time
-// axis and NR frame structure indices (SFN, slot-in-frame, symbol-in-slot).
+// Slot/symbol clock: bidirectional mapping between the simulated time axis
+// and NR slot and symbol indices.
 
 #include <cstdint>
 
@@ -12,21 +12,12 @@ namespace u5g {
 /// Absolute slot index since the simulation epoch (slot 0 starts at t=0).
 using SlotIndex = std::int64_t;
 
-/// Position within the NR frame structure.
-struct FramePosition {
-  std::int64_t sfn = 0;     ///< system frame number (not wrapped: analysis clock)
-  int slot_in_frame = 0;    ///< [0, slots_per_frame)
-  int symbol = 0;           ///< [0, 14)
-  friend constexpr bool operator==(const FramePosition&, const FramePosition&) = default;
-};
-
 /// Pure arithmetic over one numerology's grid. All results are exact
 /// (integer ns); `slot_duration` divides 1 ms for every µ.
 class SlotClock {
  public:
   constexpr explicit SlotClock(Numerology num) : num_(num) {}
 
-  [[nodiscard]] constexpr Numerology numerology() const { return num_; }
   [[nodiscard]] constexpr Nanos slot_duration() const { return num_.slot_duration(); }
   [[nodiscard]] constexpr Nanos symbol_duration() const { return num_.symbol_duration(); }
 
@@ -61,16 +52,6 @@ class SlotClock {
     const int sym = static_cast<int>(in_slot / symbol_duration());
     return sym > kSymbolsPerSlot - 1 ? kSymbolsPerSlot - 1 : sym;
   }
-
-  [[nodiscard]] constexpr FramePosition position_at(Nanos t) const {
-    const SlotIndex s = slot_at(t);
-    const int spf = num_.slots_per_frame();
-    std::int64_t sfn = s / spf;
-    std::int64_t sif = s % spf;
-    if (sif < 0) { sif += spf; --sfn; }
-    return FramePosition{sfn, static_cast<int>(sif), symbol_at(t)};
-  }
-
  private:
   Numerology num_;
 };

@@ -72,13 +72,6 @@ struct LbtConfig {
   /// Enforced idle gap after each NR-U burst before the next access attempt
   /// may start (the coexistence-friendly duty-cycle axis of the bench).
   Nanos tx_gap{};
-
-  /// Long-run Wi-Fi channel occupancy of the load process, busy/(busy+idle).
-  [[nodiscard]] double wifi_duty() const {
-    const double b = static_cast<double>(wifi_busy_mean.count());
-    const double i = static_cast<double>(wifi_idle_mean.count());
-    return b + i <= 0.0 ? 0.0 : b / (b + i);
-  }
 };
 
 /// One cell's channel-access gate: the CAT4 state machine plus the Wi-Fi

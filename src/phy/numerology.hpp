@@ -17,11 +17,6 @@ namespace u5g {
 
 inline constexpr int kSymbolsPerSlot = 14;   // normal cyclic prefix
 inline constexpr int kSubcarriersPerRb = 12;
-inline constexpr Nanos kFrameDuration{10'000'000};     // 10 ms
-inline constexpr Nanos kSubframeDuration{1'000'000};   // 1 ms
-
-/// Frequency range per TS 38.104: FR1 is sub-6 GHz ("sub-6"), FR2 is mmWave.
-enum class FrequencyRange { FR1, FR2 };
 
 /// A 5G numerology µ in [0, 6].
 ///
@@ -37,17 +32,9 @@ class Numerology {
   }
 
   [[nodiscard]] constexpr int mu() const { return mu_; }
-  [[nodiscard]] constexpr int scs_khz() const { return 15 << mu_; }
   [[nodiscard]] constexpr Nanos slot_duration() const { return Nanos{1'000'000 >> mu_}; }
   [[nodiscard]] constexpr Nanos symbol_duration() const {
     return Nanos{slot_duration().count() / kSymbolsPerSlot};
-  }
-  [[nodiscard]] constexpr int slots_per_subframe() const { return 1 << mu_; }
-  [[nodiscard]] constexpr int slots_per_frame() const { return 10 * slots_per_subframe(); }
-
-  /// Is this numerology usable in the given frequency range (paper §2)?
-  [[nodiscard]] constexpr bool valid_in(FrequencyRange fr) const {
-    return fr == FrequencyRange::FR1 ? mu_ <= 2 : mu_ >= 2;
   }
 
   friend constexpr auto operator<=>(Numerology, Numerology) = default;

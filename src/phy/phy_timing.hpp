@@ -1,6 +1,6 @@
 #pragma once
-// PHY processing-time model: how long encode (DL preparation) and decode
-// (UL reception) take on a software stack.
+// PHY processing-time model: how long encode (DL preparation) takes on a
+// software stack.
 //
 // §5's feasibility condition: "UL PHY decoding and DL preparation ... should
 // be less than one slot", and §7/Table 2 measure PHY ≈ 41.6 µs ± 10.8 µs on
@@ -16,20 +16,10 @@ namespace u5g {
 struct PhyTimingParams {
   Nanos encode_base{12'000};        ///< fixed cost: resource mapping, DMRS, FFT setup
   Nanos encode_per_cb{9'000};       ///< per code block (LDPC encode is cheap)
-  Nanos decode_base{18'000};        ///< fixed cost: channel estimation, demap
-  Nanos decode_per_cb{22'000};      ///< per code block (LDPC iterations dominate)
-  int decode_harq_extra_pct = 30;   ///< extra decode cost when soft-combining
 
-  /// Defaults calibrated so a one-code-block transport block (the ping-size
-  /// payloads of §7) lands near Table 2's 41.55 µs mean for encode+decode
-  /// averaged across directions once OS noise is applied.
+  /// Defaults: a one-code-block transport block (the ping-size payloads of
+  /// §7) costs 21 µs before OS noise.
   static PhyTimingParams software_i7() { return {}; }
-
-  /// Hardware-accelerated PHY (ASIC/lookaside): order of magnitude faster,
-  /// used by the ablation that contrasts ASIC vs software stacks (§5).
-  static PhyTimingParams asic() {
-    return {Nanos{1'500}, Nanos{600}, Nanos{2'500}, Nanos{1'200}, 10};
-  }
 };
 
 /// Size-dependent PHY costs. Noise is injected by ProcessingModel (os/).
@@ -41,15 +31,6 @@ class PhyTimingModel {
     const auto seg = segment_transport_block(tbs_bits);
     return p_.encode_base + p_.encode_per_cb * seg.n_code_blocks;
   }
-
-  [[nodiscard]] Nanos decode_time(int tbs_bits, bool harq_combining = false) const {
-    const auto seg = segment_transport_block(tbs_bits);
-    Nanos t = p_.decode_base + p_.decode_per_cb * seg.n_code_blocks;
-    if (harq_combining) t = t + t * p_.decode_harq_extra_pct / 100;
-    return t;
-  }
-
-  [[nodiscard]] const PhyTimingParams& params() const { return p_; }
 
  private:
   PhyTimingParams p_;

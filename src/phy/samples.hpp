@@ -18,17 +18,6 @@ struct SampleRate {
   [[nodiscard]] constexpr std::int64_t samples_in(Nanos d) const {
     return d.count() * samples_per_second / 1'000'000'000;
   }
-  [[nodiscard]] constexpr Nanos duration_of(std::int64_t n_samples) const {
-    return Nanos{n_samples * 1'000'000'000 / samples_per_second};
-  }
-  [[nodiscard]] constexpr std::int64_t bytes_of(std::int64_t n_samples) const {
-    return n_samples * bytes_per_sample;
-  }
-
-  /// Samples in one slot of numerology `num`.
-  [[nodiscard]] constexpr std::int64_t samples_per_slot(Numerology num) const {
-    return samples_in(num.slot_duration());
-  }
 };
 
 }  // namespace u5g

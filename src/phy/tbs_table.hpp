@@ -32,11 +32,6 @@ class TbsTable {
   /// hand-built McsEntry values) and an in-slot symbol count.
   [[nodiscard]] static bool covers(const McsEntry& mcs, int n_symbols);
 
-  /// TBS in bits for a default allocation of `n_prb` PRBs.
-  [[nodiscard]] int tbs_bits(int mcs_index, int n_symbols, int n_prb) const {
-    return row(mcs_index, n_symbols)[n_prb - 1];
-  }
-
   /// Smallest PRB count in [1, max_prb] with TBS >= `need_bits`, or 0 —
   /// binary search over the monotone row. `max_prb` may exceed kMaxPrb;
   /// the overflow range is scanned directly.

@@ -74,7 +74,6 @@ class RadioHead {
     return bus_.deterministic_latency(n_samples) + p_.dac_adc_latency;
   }
 
-  [[nodiscard]] const RadioHeadParams& params() const { return p_; }
   [[nodiscard]] const SampleRate& sample_rate() const { return p_.sample_rate; }
 
  private:

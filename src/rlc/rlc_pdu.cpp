@@ -5,9 +5,10 @@
 namespace u5g {
 
 void RlcHeader::encode(ByteBuffer& pdu) const {
-  // byte0: SI(2) | P(1) | R(1) | SN[11:8](4)   byte1: SN[7:0]
+  // byte0: SI(2) | R(2) | SN[11:8](4)   byte1: SN[7:0]; the reserved bits
+  // are sent as zero and ignored on receipt.
   const auto b0 = static_cast<std::uint8_t>((static_cast<std::uint8_t>(si) << 6) |
-                                            (poll ? 0x20 : 0x00) | ((sn >> 8) & 0x0F));
+                                            ((sn >> 8) & 0x0F));
   const auto b1 = static_cast<std::uint8_t>(sn & 0xFF);
   if (needs_so()) {
     std::array<std::uint8_t, 4> h{b0, b1, static_cast<std::uint8_t>(so >> 8),
@@ -25,7 +26,6 @@ std::optional<RlcHeader> RlcHeader::decode(ByteBuffer& pdu) {
   {
     const auto b = pdu.pop_header(2);
     h.si = static_cast<SegmentInfo>(b[0] >> 6);
-    h.poll = (b[0] & 0x20) != 0;
     h.sn = static_cast<std::uint16_t>((static_cast<std::uint16_t>(b[0] & 0x0F) << 8) | b[1]);
   }
   if (h.needs_so()) {

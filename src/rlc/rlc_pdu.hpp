@@ -21,13 +21,11 @@ enum class SegmentInfo : std::uint8_t {
   Middle = 0b11,
 };
 
-/// Decoded RLC data PDU header (UM and AM share this shape here; AM adds
-/// the poll flag).
+/// Decoded RLC UM data PDU header (12-bit SN).
 struct RlcHeader {
   SegmentInfo si = SegmentInfo::Complete;
   std::uint16_t sn = 0;        ///< 12-bit sequence number
   std::uint16_t so = 0;        ///< segment offset (bytes), Middle/Last only
-  bool poll = false;           ///< AM: request a status report
 
   [[nodiscard]] std::size_t encoded_size() const {
     return needs_so() ? 4u : 2u;

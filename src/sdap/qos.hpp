@@ -21,10 +21,6 @@ struct FiveQi {
   Nanos packet_delay_budget{300'000'000};
   double packet_error_rate = 1e-6;
   std::string_view example_service;
-
-  [[nodiscard]] bool delay_critical() const {
-    return resource == ResourceType::DelayCriticalGBR;
-  }
 };
 
 /// 5QI 85: the most aggressive URLLC row (electricity distribution /

@@ -5,12 +5,9 @@
 // packet meets ("quality of service management", §3).
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/bytes.hpp"
-#include "common/delivery.hpp"
 #include "common/ids.hpp"
 #include "sdap/qos.hpp"
 
@@ -26,26 +23,19 @@ struct SdapHeader {
 
 class SdapEntity {
  public:
-  /// Bind QoS flow `qfi` to bearer `bearer` with the given 5QI.
-  void configure_flow(std::uint8_t qfi, BearerId bearer, const FiveQi& qos) {
-    flows_[qfi] = FlowCtx{bearer, qos};
-  }
-
-  [[nodiscard]] std::optional<BearerId> bearer_of(std::uint8_t qfi) const {
-    const auto it = flows_.find(qfi);
-    if (it == flows_.end()) return std::nullopt;
-    return it->second.bearer;
-  }
-
-  [[nodiscard]] std::optional<FiveQi> qos_of(std::uint8_t qfi) const {
-    const auto it = flows_.find(qfi);
-    if (it == flows_.end()) return std::nullopt;
-    return it->second.qos;
+  /// Bind QoS flow `qfi` (6 bits) to a bearer with the given 5QI. Every
+  /// stack here maps its flows onto one bearer, so the entity keeps only
+  /// which QFIs are configured.
+  void configure_flow(std::uint8_t qfi, BearerId /*bearer*/, const FiveQi& /*qos*/) {
+    if (qfi > 0x3F) throw std::invalid_argument{"SdapEntity: QFI is 6 bits"};
+    configured_ |= std::uint64_t{1} << qfi;
   }
 
   /// Add the SDAP header for `qfi`. Throws if the flow is not configured.
   void encapsulate(ByteBuffer& sdu, std::uint8_t qfi) const {
-    if (!flows_.contains(qfi)) throw std::invalid_argument{"SdapEntity: unconfigured QFI"};
+    if (qfi > 0x3F || !(configured_ >> qfi & 1)) {
+      throw std::invalid_argument{"SdapEntity: unconfigured QFI"};
+    }
     const std::uint8_t h = SdapHeader{qfi}.encode();
     sdu.push_header({&h, 1});
   }
@@ -56,22 +46,8 @@ class SdapEntity {
     return SdapHeader::decode(h[0]).qfi;
   }
 
-  /// Strip the SDAP header and hand the SDU upward on the unified delivery
-  /// surface, with `PacketMeta::qfi` set.
-  void decapsulate_to(ByteBuffer&& pdu, DeliveryFn deliver) const {
-    PacketMeta meta;
-    meta.qfi = decapsulate(pdu);
-    deliver(std::move(pdu), meta);
-  }
-
-  [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
-
  private:
-  struct FlowCtx {
-    BearerId bearer;
-    FiveQi qos;
-  };
-  std::unordered_map<std::uint8_t, FlowCtx> flows_;
+  std::uint64_t configured_ = 0;  ///< bit q set: QFI q is configured
 };
 
 }  // namespace u5g

@@ -1,5 +1,5 @@
 #pragma once
-// Small-buffer-optimised, move-only callable used for simulator events.
+// Small-buffer-optimised, non-movable callable used for simulator events.
 //
 // A Fig-6-scale run schedules hundreds of thousands of events whose closures
 // capture one to three words (a `this`, a timestamp, a packet id). With
@@ -43,14 +43,6 @@ class Action {
     emplace_impl(std::forward<F>(f));
   }
 
-  Action(Action&& o) noexcept { move_from(o); }
-  Action& operator=(Action&& o) noexcept {
-    if (this != &o) {
-      reset();
-      move_from(o);
-    }
-    return *this;
-  }
   Action(const Action&) = delete;
   Action& operator=(const Action&) = delete;
   ~Action() { reset(); }
@@ -69,7 +61,6 @@ class Action {
  private:
   struct Ops {
     void (*invoke)(void*);
-    void (*relocate)(void* src, void* dst) noexcept;  ///< move to dst, destroy src
     void (*destroy)(void*) noexcept;
   };
 
@@ -85,30 +76,14 @@ class Action {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       static constexpr Ops ops{
           [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); },
-          [](void* src, void* dst) noexcept {
-            Fn* s = std::launder(reinterpret_cast<Fn*>(src));
-            ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-          },
           [](void* p) noexcept { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); }};
       ops_ = &ops;
     } else {
       ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
       static constexpr Ops ops{
           [](void* p) { (**std::launder(reinterpret_cast<Fn**>(p)))(); },
-          [](void* src, void* dst) noexcept {
-            ::new (dst) Fn*(*std::launder(reinterpret_cast<Fn**>(src)));
-          },
           [](void* p) noexcept { delete *std::launder(reinterpret_cast<Fn**>(p)); }};
       ops_ = &ops;
-    }
-  }
-
-  void move_from(Action& o) noexcept {
-    if (o.ops_ != nullptr) {
-      ops_ = o.ops_;
-      ops_->relocate(o.buf_, buf_);
-      o.ops_ = nullptr;
     }
   }
 

@@ -64,19 +64,13 @@ class Simulator {
   [[nodiscard]] Nanos now() const { return now_; }
 
   /// Schedule a callable at absolute time `when` (must be >= now()). The
-  /// templated overload constructs the closure directly in its event slot;
-  /// the `Action` overload exists for call sites that type-erased early.
+  /// closure is constructed directly in its event slot.
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, Action> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   EventHandle schedule_at(Nanos when, F&& f) {
     const SlotRef r = prepare(when);
     r.s->action.emplace(std::forward<F>(f));
-    return EventHandle{r.idx, r.s->seq};
-  }
-  EventHandle schedule_at(Nanos when, Action action) {
-    const SlotRef r = prepare(when);
-    r.s->action = std::move(action);
     return EventHandle{r.idx, r.s->seq};
   }
 
@@ -86,9 +80,6 @@ class Simulator {
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   EventHandle schedule_after(Nanos delay, F&& f) {
     return schedule_at(now_ + delay, std::forward<F>(f));
-  }
-  EventHandle schedule_after(Nanos delay, Action action) {
-    return schedule_at(now_ + delay, std::move(action));
   }
 
   /// Cancel a pending event. Returns true if the event had not yet fired or

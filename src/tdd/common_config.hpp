@@ -56,8 +56,6 @@ class TddCommonConfig final : public DuplexConfig {
   [[nodiscard]] int period_slots() const override { return total_slots_; }
   [[nodiscard]] std::string name() const override { return name_; }
 
-  [[nodiscard]] const TddPattern& pattern1() const { return p1_; }
-  [[nodiscard]] const std::optional<TddPattern>& pattern2() const { return p2_; }
 
   // -- The paper's §5 minimal configurations (0.5 ms period) ---------------
   // All take the numerology (µ2 → 0.25 ms slots → 2-slot period, the only

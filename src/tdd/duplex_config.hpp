@@ -84,8 +84,6 @@ class DuplexConfig {
 
   // -- Derived helpers ------------------------------------------------------
 
-  [[nodiscard]] bool slot_has_dl(SlotIndex slot) const { return dl_mask(slot) != 0; }
-  [[nodiscard]] bool slot_has_ul(SlotIndex slot) const { return ul_mask(slot) != 0; }
   /// Period of the direction map as a duration.
   [[nodiscard]] Nanos period() const {
     return num_.slot_duration() * period_slots();

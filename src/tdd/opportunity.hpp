@@ -34,7 +34,6 @@ namespace u5g {
 struct TxWindow {
   Nanos start;
   Nanos end;
-  [[nodiscard]] Nanos duration() const { return end - start; }
 };
 
 /// Earliest window of `n_symbols` consecutive uplink-capable symbols whose

@@ -26,8 +26,6 @@ struct SlotFormat {
 
   /// Mask of the symbols of kind `k` (bit s = symbol s).
   [[nodiscard]] std::uint16_t mask(SymbolKind k) const;
-  [[nodiscard]] bool has_dl() const { return mask(SymbolKind::Downlink) != 0; }
-  [[nodiscard]] bool has_ul() const { return mask(SymbolKind::Uplink) != 0; }
   /// Render as a 14-char string over {D,U,F}.
   [[nodiscard]] std::string render() const;
 };

@@ -128,12 +128,6 @@ class Tracer {
     return t;
   }
 
-  void clear() {
-    spans_.clear();
-    cursor_.clear();
-    closed_ = 0;
-  }
-
  private:
   bool enabled_ = false;
   std::vector<TraceSpan> spans_;

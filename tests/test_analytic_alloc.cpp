@@ -2,15 +2,13 @@
 // heap allocation (it runs the timeline builders with step recording off),
 // a warm feasibility-service hit allocates nothing (its key sits inline, the
 // cache is a flat slab), and neither does a miss that evicts once the cache
-// is full. This is its own binary because it replaces the global operator
-// new.
+// is full. This is its own binary because it links the counting global
+// allocator (counting_alloc.cpp).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -18,26 +16,7 @@
 #include "core/latency_model.hpp"
 #include "serve/feasibility_service.hpp"
 #include "tdd/common_config.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting global allocator (same shape as tests/test_trace.cpp's).
-
-namespace {
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "counting_alloc.hpp"
 
 namespace u5g {
 namespace {

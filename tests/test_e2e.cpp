@@ -247,6 +247,41 @@ TEST(StackConfigTest, ValidateRejectsNonPositiveCountsOfAnyMagnitude) {
   EXPECT_NO_THROW(big.validate());
 }
 
+TEST(StackConfigTest, ValidateBoundsTheUplinkWindowSymbols) {
+  // Each bound at its smallest legal value and at its first illegal one, on
+  // both access modes (grant-based reads the SR, grant-free the occasions).
+  for (const bool grant_free : {false, true}) {
+    StackConfig ok =
+        grant_free ? StackConfig::testbed_grant_free() : StackConfig::testbed_grant_based();
+    ok.sr.sr_symbols = 1;
+    ok.cg.tx_symbols = 1;
+    EXPECT_NO_THROW(ok.validate()) << "grant_free=" << grant_free;
+    StackConfig sr = ok;
+    sr.sr.sr_symbols = 0;
+    EXPECT_THROW(sr.validate(), std::invalid_argument) << "grant_free=" << grant_free;
+    StackConfig cg = ok;
+    cg.cg.tx_symbols = 0;
+    EXPECT_THROW(cg.validate(), std::invalid_argument) << "grant_free=" << grant_free;
+  }
+}
+
+TEST(StackConfigTest, ValidateRejectsNegativePeriodsAndReorderingTimer) {
+  StackConfig ok = StackConfig::testbed_grant_based();
+  ok.sr.periodicity = Nanos::zero();  // zero: any UL symbol (footnote 2)
+  ok.cg.periodicity = Nanos::zero();
+  ok.pdcp_t_reordering = Nanos::zero();
+  EXPECT_NO_THROW(ok.validate());
+  StackConfig sr = ok;
+  sr.sr.periodicity = Nanos{-1};
+  EXPECT_THROW(sr.validate(), std::invalid_argument);
+  StackConfig cg = ok;
+  cg.cg.periodicity = Nanos{-1};
+  EXPECT_THROW(cg.validate(), std::invalid_argument);
+  StackConfig pdcp = ok;
+  pdcp.pdcp_t_reordering = Nanos{-1};
+  EXPECT_THROW(pdcp.validate(), std::invalid_argument);
+}
+
 TEST(StackConfigTest, ValidateAcceptsExactlyTheClosedUnitIntervalOfChannelLoss) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const double ok : {0.0, -0.0, std::numeric_limits<double>::denorm_min(), 0.5,
@@ -489,7 +524,7 @@ TEST(E2eAgreementTest, SimWithinAnalyticEnvelope) {
   const BusParams free_bus{"free", Nanos::zero(), Nanos::zero(), JitterParams::none()};
   cfg.gnb_radio = RadioHeadParams{free_bus, SampleRate{}, Nanos::zero(), Nanos::zero()};
   cfg.ue_radio = cfg.gnb_radio;
-  cfg.phy = PhyTimingParams{Nanos::zero(), Nanos::zero(), Nanos::zero(), Nanos::zero(), 0};
+  cfg.phy = PhyTimingParams{Nanos::zero(), Nanos::zero()};
   cfg.upf = UpfParams{Nanos::zero(), Nanos::zero(), 0.0, Nanos::zero()};
   cfg.seed = 30;
   E2eSystem sys(std::move(cfg));

@@ -85,7 +85,7 @@ TEST(FaultWindowTest, OncePeriodicAlwaysSemantics) {
   EXPECT_TRUE(always.active_at(Nanos{0}));
   EXPECT_TRUE(always.active_at(Nanos{1'000'000'000}));
 
-  const auto once = FaultWindow::once(1_ms, 2_ms);
+  const auto once = FaultWindow{1_ms, 2_ms};
   EXPECT_FALSE(once.active_at(Nanos{999'999}));
   EXPECT_TRUE(once.active_at(1_ms));                 // start inclusive
   EXPECT_TRUE(once.active_at(Nanos{2'999'999}));
@@ -122,8 +122,8 @@ TEST(FaultInjectorTest, DeterministicAcrossInstances) {
 
 TEST(FaultInjectorTest, WindowGatesEveryEffect) {
   const std::vector<FaultScenario> sc = {
-      FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0), FaultWindow::once(1_ms, 1_ms)),
-      FaultScenario::radio_bus_stall(FaultWindow::once(5_ms, 1_ms), Nanos{70'000})};
+      FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0), FaultWindow{1_ms, 1_ms}),
+      FaultScenario::radio_bus_stall(FaultWindow{5_ms, 1_ms}, Nanos{70'000})};
   FaultInjector inj(sc, 1);
   EXPECT_TRUE(inj.models_channel_loss());
   EXPECT_FALSE(inj.channel_lost(Nanos{0}));       // before the window
@@ -159,9 +159,9 @@ TEST(FaultE2eTest, InactiveScenariosLeaveRunsBitIdentical) {
 
   StackConfig with_idle_faults = base;
   with_idle_faults.faults = {
-      FaultScenario::os_jitter_storm(FaultWindow::once(10'000_ms, 1_ms)),
-      FaultScenario::radio_bus_stall(FaultWindow::once(10'000_ms, 1_ms), Nanos{50'000}),
-      FaultScenario::upf_outage(FaultWindow::once(10'000_ms, 1_ms), 0.5, 1_ms)};
+      FaultScenario::os_jitter_storm(FaultWindow{10'000_ms, 1_ms}),
+      FaultScenario::radio_bus_stall(FaultWindow{10'000_ms, 1_ms}, Nanos{50'000}),
+      FaultScenario::upf_outage(FaultWindow{10'000_ms, 1_ms}, 0.5, 1_ms)};
 
   EXPECT_EQ(ul_latencies(base, 40), ul_latencies(with_idle_faults, 40));
 }
@@ -316,7 +316,7 @@ TEST(FaultRegressionTest, StrandedUlRetransmissionIsCountedNotLeaked) {
       std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Uplink, 12);
   cfg.harq_max_tx = 8;  // budget never exhausts inside the era
   cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
-                                          FaultWindow::once(Nanos::zero(), 6_ms))};
+                                          FaultWindow{Nanos::zero(), 6_ms})};
   E2eSystem sys(std::move(cfg));
   sys.send_uplink_at(Nanos{100'000});
   sys.run_until(100_ms);  // past the re-arm cap (64 slots = 32 ms)
@@ -378,7 +378,7 @@ TEST(FaultRegressionTest, StrandedDlRetransmissionIsCountedOnce) {
       std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Downlink, 20, 219);
   cfg.harq_max_tx = 8;  // budget never exhausts before the blackout
   cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
-                                          FaultWindow::once(Nanos::zero(), 10_ms))};
+                                          FaultWindow{Nanos::zero(), 10_ms})};
   E2eSystem sys(std::move(cfg));
   sys.send_downlink_at(8_ms);
   sys.send_downlink_at(130_ms);
@@ -405,7 +405,7 @@ TEST(FaultRegressionTest, StrandedGrantFreeUlRetransmissionIsCounted) {
       std::make_shared<BlackoutDuplex>(TddCommonConfig::dddu(kMu1), Direction::Uplink, 12, 239);
   cfg.harq_max_tx = 8;  // budget never exhausts inside the era
   cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
-                                          FaultWindow::once(Nanos::zero(), 6_ms))};
+                                          FaultWindow{Nanos::zero(), 6_ms})};
   cfg.trace.enabled = true;
   cfg.trace.metrics = false;
   E2eSystem sys(std::move(cfg));
@@ -441,7 +441,7 @@ TEST(FaultRegressionTest, ReLostTbKeepsOldestFirstRecoveryOrder) {
   cfg.payload_bytes = 128;  // one SDU per 256-byte TB: packets keep their own TB
   cfg.harq_max_tx = 100;
   cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
-                                          FaultWindow::once(Nanos::zero(), 6_ms))};
+                                          FaultWindow{Nanos::zero(), 6_ms})};
   E2eSystem sys(std::move(cfg));
   sys.send_uplink_at(Nanos{50'000});
   sys.send_uplink_at(Nanos{600'000});

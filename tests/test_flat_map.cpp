@@ -105,17 +105,5 @@ TEST(FlatHashMapTest, GrowthRehashPreservesAllEntries) {
   }
 }
 
-TEST(FlatHashMapTest, ClearEmptiesButRetainsCapacityForReuse) {
-  FlatHashMap<std::uint64_t, int> fm;
-  for (std::uint64_t k = 0; k < 100; ++k) fm[k] = 1;
-  fm.clear();
-  EXPECT_TRUE(fm.empty());
-  EXPECT_EQ(nullptr, fm.find(5));
-  EXPECT_FALSE(fm.erase(5));
-  for (std::uint64_t k = 0; k < 100; ++k) fm[k] = 2;
-  EXPECT_EQ(100u, fm.size());
-  EXPECT_EQ(2, *fm.find(42));
-}
-
 }  // namespace
 }  // namespace u5g

@@ -24,7 +24,7 @@ LatencyModelParams with_costs() {
 TEST(GanttTest, ContainsEveryStepAndGlyph) {
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   const Timeline tl =
-      trace_transmission(dm, AccessMode::GrantBasedUl, dm.period() * 8 + 1_ns, with_costs());
+      trace_transmission(dm, AccessMode::GrantBasedUl, dm.period() * 8 + Nanos{1}, with_costs());
   const std::string g = render_gantt(dm, tl);
   for (const TimelineStep& s : tl.steps) {
     EXPECT_NE(g.find(s.label), std::string::npos) << s.label;
@@ -39,7 +39,7 @@ TEST(GanttTest, ContainsEveryStepAndGlyph) {
 TEST(GanttTest, SlotTrackShowsStructure) {
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   const Timeline tl =
-      trace_transmission(dm, AccessMode::GrantFreeUl, dm.period() * 8 + 1_ns, with_costs());
+      trace_transmission(dm, AccessMode::GrantFreeUl, dm.period() * 8 + Nanos{1}, with_costs());
   const std::string g = render_gantt(dm, tl);
   // DM has both D and U symbols and guard gaps in view.
   EXPECT_NE(g.find('D'), std::string::npos);
@@ -50,7 +50,7 @@ TEST(GanttTest, SlotTrackShowsStructure) {
 TEST(GanttTest, OptionsRespected) {
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   const Timeline tl =
-      trace_transmission(dm, AccessMode::Downlink, dm.period() * 8 + 1_ns, with_costs());
+      trace_transmission(dm, AccessMode::Downlink, dm.period() * 8 + Nanos{1}, with_costs());
   GanttOptions opt;
   opt.show_legend = false;
   opt.show_slot_track = false;
@@ -62,7 +62,7 @@ TEST(GanttTest, OptionsRespected) {
 TEST(GanttTest, RowsFitTheConfiguredWidth) {
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   const Timeline tl =
-      trace_transmission(dm, AccessMode::GrantBasedUl, dm.period() * 8 + 1_ns, with_costs());
+      trace_transmission(dm, AccessMode::GrantBasedUl, dm.period() * 8 + Nanos{1}, with_costs());
   GanttOptions opt;
   opt.columns = 48;
   opt.show_legend = false;
@@ -93,7 +93,7 @@ TEST(GanttTest, JourneyRenderStacksAllParts) {
 
 TEST(GanttTest, InfeasibleTimelineIsSafe) {
   const SlotFormatConfig all_dl{kMu2, {0}};
-  const Timeline tl = trace_transmission(all_dl, AccessMode::GrantFreeUl, 1_ns, {});
+  const Timeline tl = trace_transmission(all_dl, AccessMode::GrantFreeUl, Nanos{1}, {});
   EXPECT_NE(render_gantt(all_dl, tl).find("infeasible"), std::string::npos);
 }
 

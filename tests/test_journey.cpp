@@ -51,7 +51,7 @@ TEST(JourneyTest, GrantFreeBeatsGrantBased) {
 
 TEST(JourneyTest, CategoryTotalsCoverEverything) {
   const TddCommonConfig dddu = TddCommonConfig::dddu(kMu1);
-  const PingJourney j = trace_ping(dddu, dddu.period() * 8 + 1_ns, realistic());
+  const PingJourney j = trace_ping(dddu, dddu.period() * 8 + Nanos{1}, realistic());
   const Nanos sum = j.category_total(LatencyCategory::Protocol) +
                     j.category_total(LatencyCategory::Processing) +
                     j.category_total(LatencyCategory::Radio);
@@ -70,7 +70,7 @@ TEST(JourneyTest, ProtocolDominatesOnTdd) {
 
 TEST(JourneyTest, RenderListsAllStages) {
   const TddCommonConfig dddu = TddCommonConfig::dddu(kMu1);
-  const PingJourney j = trace_ping(dddu, dddu.period() * 8 + 1_ns, realistic());
+  const PingJourney j = trace_ping(dddu, dddu.period() * 8 + Nanos{1}, realistic());
   const std::string r = j.render();
   EXPECT_NE(r.find("ping request (uplink):"), std::string::npos);
   EXPECT_NE(r.find("core network uplink"), std::string::npos);
@@ -87,7 +87,7 @@ TEST(JourneyTest, IdealisedFddPingIsSubMillisecond) {
   p.upf_latency = 5_us;
   p.backhaul = 10_us;
   p.server_turnaround = 1_us;
-  const PingJourney j = trace_ping(fdd, fdd.period() * 8 + 1_ns, p);
+  const PingJourney j = trace_ping(fdd, fdd.period() * 8 + Nanos{1}, p);
   EXPECT_LT(j.rtt, 1_ms);
 }
 

@@ -190,7 +190,7 @@ TEST(TimelineTest, ProcessingShiftsCompletion) {
   LatencyModelParams base;
   LatencyModelParams slow = base;
   slow.receiver_processing = 100_us;
-  const Nanos at = fdd.period() * 8 + 1_ns;
+  const Nanos at = fdd.period() * 8 + Nanos{1};
   const Timeline t0 = trace_transmission(fdd, AccessMode::Downlink, at, base);
   const Timeline t1 = trace_transmission(fdd, AccessMode::Downlink, at, slow);
   EXPECT_EQ(t1.latency() - t0.latency(), 100_us);
@@ -204,13 +204,13 @@ TEST(TimelineTest, RadioLatencyCostIsQuantisedToSlots) {
   //   260 µs (> slot) -> one boundary crossed: exactly one slot added;
   //   510 µs          -> two boundaries crossed: exactly two slots added.
   const FddConfig fdd{kMu2};
-  const Nanos at = fdd.period() * 8 + 1_ns;
+  const Nanos at = fdd.period() * 8 + Nanos{1};
   auto completion_with_radio = [&](Nanos radio) {
     LatencyModelParams p;
     p.radio_tx = radio;
     return trace_transmission(fdd, AccessMode::Downlink, at, p).completion;
   };
-  const Nanos base = completion_with_radio(0_ns);
+  const Nanos base = completion_with_radio(Nanos{0});
   EXPECT_EQ(completion_with_radio(10_us) - base, Nanos::zero());
   EXPECT_EQ(completion_with_radio(260_us) - base, 250_us);
   EXPECT_EQ(completion_with_radio(510_us) - base, 500_us);
@@ -219,7 +219,7 @@ TEST(TimelineTest, RadioLatencyCostIsQuantisedToSlots) {
 TEST(TimelineTest, GrantBasedContainsHandshakeSteps) {
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   const Timeline tl =
-      trace_transmission(dm, AccessMode::GrantBasedUl, dm.period() * 8 + 1_ns, {});
+      trace_transmission(dm, AccessMode::GrantBasedUl, dm.period() * 8 + Nanos{1}, {});
   const std::string rendered = tl.render();
   EXPECT_NE(rendered.find("SR over the air"), std::string::npos);
   EXPECT_NE(rendered.find("UL grant over the air"), std::string::npos);
@@ -237,7 +237,7 @@ TEST(TimelineTest, RenderedStepsArePinned) {
   p.radio_rx = 15_us;
   p.grant_decode = 25_us;
   p.sr_decode = 12_us;
-  const Nanos at = dm.period() * 8 + 1_ns;
+  const Nanos at = dm.period() * 8 + Nanos{1};
   EXPECT_EQ(trace_transmission(dm, AccessMode::GrantBasedUl, at, p).render(),
             "  [processing] UE stack APP\xe2\x86\x93: 0ns -> 20.000us (+20.000us)\n"
             "  [radio] UE radio TX chain: 20.000us -> 30.000us (+10.000us)\n"
@@ -276,7 +276,7 @@ TEST(TimelineTest, RenderedStepsArePinned) {
 
 TEST(TimelineTest, InfeasibleConfigReported) {
   const SlotFormatConfig all_dl{kMu2, {0}};
-  const Timeline tl = trace_transmission(all_dl, AccessMode::GrantFreeUl, 1_ns, {});
+  const Timeline tl = trace_transmission(all_dl, AccessMode::GrantFreeUl, Nanos{1}, {});
   EXPECT_FALSE(tl.feasible);
 }
 
@@ -403,14 +403,14 @@ std::vector<LatencyModelParams> model_variants() {
     LatencyModelParams zero;
     zero.data_tx_symbols = tx;
     LatencyModelParams proc = zero;
-    proc.sender_processing = 31'111_ns;
-    proc.receiver_processing = 17'003_ns;
+    proc.sender_processing = Nanos{31'111};
+    proc.receiver_processing = Nanos{17'003};
     LatencyModelParams radio = zero;
-    radio.radio_tx = 9'999_ns;
-    radio.radio_rx = 41'234_ns;
+    radio.radio_tx = Nanos{9'999};
+    radio.radio_rx = Nanos{41'234};
     LatencyModelParams decode = zero;
-    decode.grant_decode = 53'071_ns;
-    decode.sr_decode = 26'789_ns;
+    decode.grant_decode = Nanos{53'071};
+    decode.sr_decode = Nanos{26'789};
     LatencyModelParams all = proc;
     all.radio_tx = radio.radio_tx;
     all.radio_rx = radio.radio_rx;

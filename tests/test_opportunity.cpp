@@ -31,7 +31,7 @@ constexpr Nanos kSlot{250'000};
 
 TEST(NextUlTxTest, DuFindsUplinkSlot) {
   const TddCommonConfig c = TddCommonConfig::du(kMu2);  // D | U
-  const auto w = next_ul_tx(c, 1_ns, 1);
+  const auto w = next_ul_tx(c, Nanos{1}, 1);
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSlot);                 // first symbol of the U slot
   EXPECT_EQ(w->end, kSlot + kSym);
@@ -42,12 +42,12 @@ TEST(NextUlTxTest, StartAtOrAfterT) {
   // Exactly at a UL symbol boundary: usable.
   EXPECT_EQ(next_ul_tx(c, kSlot, 1)->start, kSlot);
   // One ns later: the next symbol.
-  EXPECT_EQ(next_ul_tx(c, kSlot + 1_ns, 1)->start, kSlot + kSym);
+  EXPECT_EQ(next_ul_tx(c, kSlot + Nanos{1}, 1)->start, kSlot + kSym);
 }
 
 TEST(NextUlTxTest, DmUplinkTail) {
   const TddCommonConfig c = TddCommonConfig::dm(kMu2);  // D | DDDD--UUUUUUUU
-  const auto w = next_ul_tx(c, 1_ns, 2);
+  const auto w = next_ul_tx(c, Nanos{1}, 2);
   ASSERT_TRUE(w.has_value());
   // UL symbols are 6..13 of slot 1.
   EXPECT_EQ(w->start, kSlot + kSym * 6);
@@ -58,7 +58,7 @@ TEST(NextUlTxTest, RunCrossesSlotBoundary) {
   const TddCommonConfig c = TddCommonConfig::mu(kMu2);  // DDDD--UUUUUUUU | U...U
   // 10 consecutive UL symbols need the M tail (8) + the U slot head (2):
   // only possible because symbol 13 of slot 0 abuts symbol 0 of slot 1.
-  const auto w = next_ul_tx(c, 1_ns, 10);
+  const auto w = next_ul_tx(c, Nanos{1}, 10);
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSym * 6);
   EXPECT_EQ(w->end, kSlot + kSym * 2);
@@ -67,17 +67,17 @@ TEST(NextUlTxTest, RunCrossesSlotBoundary) {
 TEST(NextUlTxTest, TooLongRunWaitsForNextRegion) {
   const TddCommonConfig c = TddCommonConfig::dm(kMu2);
   // 9 consecutive UL symbols never exist (the tail is 8): nullopt.
-  EXPECT_FALSE(next_ul_tx(c, 1_ns, 9, 10_ms).has_value());
+  EXPECT_FALSE(next_ul_tx(c, Nanos{1}, 9, 10_ms).has_value());
 }
 
 TEST(NextUlTxTest, NoUplinkAnywhere) {
   const SlotFormatConfig all_dl{kMu2, {0}};
-  EXPECT_FALSE(next_ul_tx(all_dl, 0_ns, 1, 5_ms).has_value());
+  EXPECT_FALSE(next_ul_tx(all_dl, Nanos{0}, 1, 5_ms).has_value());
 }
 
 TEST(NextUlTxTest, ZeroSymbolsRejected) {
   const FddConfig c{kMu2};
-  EXPECT_FALSE(next_ul_tx(c, 0_ns, 0).has_value());
+  EXPECT_FALSE(next_ul_tx(c, Nanos{0}, 0).has_value());
 }
 
 TEST(NextUlTxTest, LastSymbolWindowEndsAtSlotBoundary) {
@@ -109,7 +109,7 @@ TEST_P(UlWindowPropertyTest, ReturnedWindowsAreUplinkCapable) {
       const auto w = next_ul_tx(*cfg, t, n_symbols, 20_ms);
       if (!w) continue;
       EXPECT_GE(w->start, t);
-      for (Nanos s = w->start; s < w->end - 1_ns; s += clk.symbol_duration()) {
+      for (Nanos s = w->start; s < w->end - Nanos{1}; s += clk.symbol_duration()) {
         EXPECT_TRUE(cfg->ul_capable(clk.slot_at(s), clk.symbol_at(s)))
             << cfg->name() << " t=" << t.count() << " sym at " << s.count();
       }
@@ -124,25 +124,25 @@ INSTANTIATE_TEST_SUITE_P(Lengths, UlWindowPropertyTest, ::testing::Values(1, 2, 
 
 TEST(GranuleTest, SlotGranularity) {
   const TddCommonConfig c = TddCommonConfig::du(kMu2);
-  EXPECT_EQ(next_granule_boundary(c, 0_ns), 0_ns);
-  EXPECT_EQ(next_granule_boundary(c, 1_ns), kSlot);
+  EXPECT_EQ(next_granule_boundary(c, Nanos{0}), Nanos{0});
+  EXPECT_EQ(next_granule_boundary(c, Nanos{1}), kSlot);
   EXPECT_EQ(next_granule_boundary(c, kSlot), kSlot);
-  EXPECT_EQ(next_scheduler_run(c, kSlot + 1_ns), kSlot * 2);
+  EXPECT_EQ(next_scheduler_run(c, kSlot + Nanos{1}), kSlot * 2);
 }
 
 TEST(GranuleTest, MiniSlotGranularity) {
   const MiniSlotConfig c{kMu2, 2};
-  EXPECT_EQ(next_granule_boundary(c, 1_ns), kSym * 2);
+  EXPECT_EQ(next_granule_boundary(c, Nanos{1}), kSym * 2);
   EXPECT_EQ(next_granule_boundary(c, kSym * 2), kSym * 2);
   EXPECT_EQ(next_granule_boundary(c, kSym * 11), kSym * 12);
   // Past symbol 12 the next granule is the next slot's symbol 0.
-  EXPECT_EQ(next_granule_boundary(c, kSym * 12 + 1_ns), kSlot);
+  EXPECT_EQ(next_granule_boundary(c, kSym * 12 + Nanos{1}), kSlot);
 }
 
 TEST(GranuleTest, SevenSymbolMiniSlot) {
   const MiniSlotConfig c{kMu2, 7};
-  EXPECT_EQ(next_granule_boundary(c, 1_ns), kSym * 7);
-  EXPECT_EQ(next_granule_boundary(c, kSym * 7 + 1_ns), kSlot);
+  EXPECT_EQ(next_granule_boundary(c, Nanos{1}), kSym * 7);
+  EXPECT_EQ(next_granule_boundary(c, kSym * 7 + Nanos{1}), kSlot);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ TEST(GranuleTest, SevenSymbolMiniSlot) {
 TEST(NextDlControlTest, SkipsUplinkSlot) {
   const TddCommonConfig c = TddCommonConfig::du(kMu2);
   // Just after the D slot starts: next control is the D slot of period 2.
-  const auto w = next_dl_control(c, 1_ns);
+  const auto w = next_dl_control(c, Nanos{1});
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSlot * 2);
   EXPECT_EQ(w->end, kSlot * 2 + kSym);  // 1 control symbol
@@ -160,20 +160,20 @@ TEST(NextDlControlTest, SkipsUplinkSlot) {
 TEST(NextDlControlTest, MixedSlotCarriesControl) {
   const TddCommonConfig c = TddCommonConfig::dm(kMu2);
   // After slot 0 begins, the M slot (DL head) provides the next control.
-  const auto w = next_dl_control(c, 1_ns);
+  const auto w = next_dl_control(c, Nanos{1});
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSlot);
 }
 
 TEST(NextDlControlTest, FddEverySlot) {
   const FddConfig c{kMu2};
-  EXPECT_EQ(next_dl_control(c, 1_ns)->start, kSlot);
+  EXPECT_EQ(next_dl_control(c, Nanos{1})->start, kSlot);
   EXPECT_EQ(next_dl_control(c, kSlot)->start, kSlot);
 }
 
 TEST(NextDlControlTest, NoDownlinkAnywhere) {
   const SlotFormatConfig all_ul{kMu2, {1}};
-  EXPECT_FALSE(next_dl_control(all_ul, 0_ns, 5_ms).has_value());
+  EXPECT_FALSE(next_dl_control(all_ul, Nanos{0}, 5_ms).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ TEST(NextDlControlTest, NoDownlinkAnywhere) {
 
 TEST(NextDlDataTest, FullDlSlot) {
   const TddCommonConfig c = TddCommonConfig::du(kMu2);
-  const auto w = next_dl_data(c, 1_ns);
+  const auto w = next_dl_data(c, Nanos{1});
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSlot * 2);
   EXPECT_EQ(w->end, kSlot * 3);  // full DL slot: run ends at slot end
@@ -189,7 +189,7 @@ TEST(NextDlDataTest, FullDlSlot) {
 
 TEST(NextDlDataTest, MixedSlotRunEndsAtGuard) {
   const TddCommonConfig c = TddCommonConfig::dm(kMu2);
-  const auto w = next_dl_data(c, 1_ns);
+  const auto w = next_dl_data(c, Nanos{1});
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSlot);
   EXPECT_EQ(w->end, kSlot + kSym * 4);  // 4 DL symbols then guard
@@ -198,14 +198,14 @@ TEST(NextDlDataTest, MixedSlotRunEndsAtGuard) {
 TEST(NextDlDataTest, RunMustExceedControlOverhead) {
   // A slot with a single DL symbol can carry control but no data.
   const SlotFormatConfig c{kMu2, {16, 0}};  // DFFF... then full D
-  const auto w = next_dl_data(c, 1_ns);
+  const auto w = next_dl_data(c, Nanos{1});
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSlot);  // skipped the 1-symbol-DL slot
 }
 
 TEST(NextDlDataTest, MiniSlotServesWithinGranule) {
   const MiniSlotConfig c{kMu2, 2};
-  const auto w = next_dl_data(c, 1_ns);
+  const auto w = next_dl_data(c, Nanos{1});
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSym * 2);
   EXPECT_EQ(w->end, kSym * 4);  // the granule itself
@@ -447,10 +447,10 @@ TEST(OpportunityOracleTest, WindowSpansThreeSlots) {
 TEST(OpportunityOracleTest, SearchLimitCutsWindowByItsLastSymbol) {
   // The window is returned only if its last symbol starts before t + limit.
   const FddConfig c{kMu2};
-  EXPECT_TRUE(next_ul_tx(c, 0_ns, 4, kSym * 3 + 1_ns).has_value());
-  EXPECT_FALSE(next_ul_tx(c, 0_ns, 4, kSym * 3).has_value());
+  EXPECT_TRUE(next_ul_tx(c, Nanos{0}, 4, kSym * 3 + Nanos{1}).has_value());
+  EXPECT_FALSE(next_ul_tx(c, Nanos{0}, 4, kSym * 3).has_value());
   // The same cut across a slot boundary, with the run carried from slot 0.
-  EXPECT_TRUE(next_ul_tx(c, kSym * 12, 4, kSlot - kSym * 11 + 1_ns).has_value());
+  EXPECT_TRUE(next_ul_tx(c, kSym * 12, 4, kSlot - kSym * 11 + Nanos{1}).has_value());
   EXPECT_FALSE(next_ul_tx(c, kSym * 12, 4, kSlot - kSym * 11).has_value());
 }
 

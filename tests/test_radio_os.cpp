@@ -115,11 +115,11 @@ TEST(RadioHeadTest, PrepareTxDeadline) {
   RadioHead rh{RadioHeadParams::usrp_b210_usb2(), Rng{7}};
   const std::int64_t slot_samples = 11'520;
   // Generous deadline: on time.
-  const auto ok = rh.prepare_tx(0_ns, slot_samples, 2_ms);
+  const auto ok = rh.prepare_tx(Nanos{0}, slot_samples, 2_ms);
   EXPECT_TRUE(ok.on_time);
   EXPECT_LE(ok.ready_at, 2_ms);
   // Impossible deadline: late.
-  const auto late = rh.prepare_tx(0_ns, slot_samples, 100_us);
+  const auto late = rh.prepare_tx(Nanos{0}, slot_samples, 100_us);
   EXPECT_FALSE(late.on_time);
   EXPECT_GT(late.ready_at, 100_us);
 }
@@ -128,7 +128,7 @@ TEST(RadioHeadTest, NominalLatencyNearPaperB210Figure) {
   // §7: "the RH in use introduces around 500 µs latency" for slot-sized
   // buffers at 0.5 ms slots.
   RadioHead rh{RadioHeadParams::usrp_b210_usb2(), Rng{8}};
-  const Nanos nominal = rh.nominal_tx_latency(rh.sample_rate().samples_per_slot(kMu1));
+  const Nanos nominal = rh.nominal_tx_latency(rh.sample_rate().samples_in(kMu1.slot_duration()));
   EXPECT_GT(nominal, 280_us);
   EXPECT_LT(nominal, 600_us);
 }

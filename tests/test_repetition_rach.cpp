@@ -42,7 +42,7 @@ TEST(ReliabilitySchemeTest, CleanChannelIdenticalLatency) {
   p.per_tx_bler = 0.0;
   const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
   Rng rng(4);
-  const Nanos at = dm.period() * 8 + 1_ns;
+  const Nanos at = dm.period() * 8 + Nanos{1};
   const auto h = harq_outcome(dm, at, p, rng);
   const auto r = repetition_outcome(dm, at, p, rng);
   ASSERT_TRUE(h.delivered && r.delivered);
@@ -161,7 +161,7 @@ TEST(RachTest, WorksOnFddToo) {
 
 TEST(RachTest, InfeasibleWithoutUplink) {
   const SlotFormatConfig all_dl{kMu2, {0}};
-  const Timeline tl = trace_random_access(all_dl, 1_ns);
+  const Timeline tl = trace_random_access(all_dl, Nanos{1});
   EXPECT_FALSE(tl.feasible);
 }
 

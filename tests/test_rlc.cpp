@@ -37,7 +37,6 @@ struct HeaderCase {
   SegmentInfo si;
   std::uint16_t sn;
   std::uint16_t so;
-  bool poll;
 };
 
 std::string header_case_name(const HeaderCase& c) {
@@ -45,8 +44,7 @@ std::string header_case_name(const HeaderCase& c) {
                    : c.si == SegmentInfo::First  ? "First"
                    : c.si == SegmentInfo::Middle ? "Middle"
                                                  : "Last";
-  return std::string{si} + "_sn" + std::to_string(c.sn) + "_so" + std::to_string(c.so) +
-         (c.poll ? "_poll" : "");
+  return std::string{si} + "_sn" + std::to_string(c.sn) + "_so" + std::to_string(c.so);
 }
 
 /// The parameter as gtest prints it into the ctest name (the default
@@ -58,15 +56,15 @@ class RlcHeaderTest : public ::testing::TestWithParam<HeaderCase> {};
 TEST_P(RlcHeaderTest, EncodeDecodeRoundTrip) {
   const auto& c = GetParam();
   ByteBuffer pdu = payload(5);
-  RlcHeader h{c.si, c.sn, c.so, c.poll};
+  RlcHeader h{c.si, c.sn, c.so};
   h.encode(pdu);
   EXPECT_EQ(pdu.size(), 5 + h.encoded_size());
+  EXPECT_EQ(pdu.bytes()[0] & 0x30, 0) << "reserved bits go out as zero";
 
   const auto back = RlcHeader::decode(pdu);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->si, c.si);
   EXPECT_EQ(back->sn, c.sn);
-  EXPECT_EQ(back->poll, c.poll);
   if (h.needs_so()) {
     EXPECT_EQ(back->so, c.so);
   }
@@ -75,11 +73,11 @@ TEST_P(RlcHeaderTest, EncodeDecodeRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, RlcHeaderTest,
-    ::testing::Values(HeaderCase{SegmentInfo::Complete, 0, 0, false},
-                      HeaderCase{SegmentInfo::Complete, 4095, 0, true},
-                      HeaderCase{SegmentInfo::First, 17, 0, false},
-                      HeaderCase{SegmentInfo::Middle, 100, 5'000, false},
-                      HeaderCase{SegmentInfo::Last, 2'222, 65'000, true}),
+    ::testing::Values(HeaderCase{SegmentInfo::Complete, 0, 0},
+                      HeaderCase{SegmentInfo::Complete, 4095, 0},
+                      HeaderCase{SegmentInfo::First, 17, 0},
+                      HeaderCase{SegmentInfo::Middle, 100, 5'000},
+                      HeaderCase{SegmentInfo::Last, 2'222, 65'000}),
     [](const auto& info) { return header_case_name(info.param); });
 
 TEST(RlcHeaderTest, TruncatedDecode) {
@@ -89,6 +87,18 @@ TEST(RlcHeaderTest, TruncatedDecode) {
   ByteBuffer two(2);
   two.bytes()[0] = static_cast<std::uint8_t>(static_cast<int>(SegmentInfo::Middle) << 6);
   EXPECT_FALSE(RlcHeader::decode(two).has_value());
+}
+
+TEST(RlcHeaderTest, DecodeIgnoresReservedBits) {
+  // Both reserved bits set: decode reads the SI and SN of the clean header.
+  ByteBuffer pdu(3);
+  RlcHeader{SegmentInfo::Complete, 0xABC, 0}.encode(pdu);
+  pdu.bytes()[0] |= 0x30;
+  const auto h = RlcHeader::decode(pdu);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->si, SegmentInfo::Complete);
+  EXPECT_EQ(h->sn, 0xABC);
+  EXPECT_EQ(pdu.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -118,7 +128,7 @@ TEST(RlcUmTest, PullEmptyQueue) {
 
 TEST(RlcUmTest, PullTooSmallGrant) {
   RlcTx tx(RlcMode::UM);
-  tx.enqueue(payload(50), 0_ns);
+  tx.enqueue(payload(50), Nanos{0});
   EXPECT_FALSE(tx.pull(4).has_value());  // cannot fit header + 1 byte
   EXPECT_TRUE(tx.has_data());            // data stays queued
 }
@@ -141,8 +151,8 @@ TEST(RlcUmTest, QueueAccounting) {
 
 TEST(RlcUmTest, SnAdvancesPerSdu) {
   RlcTx tx(RlcMode::UM);
-  tx.enqueue(payload(10), 0_ns);
-  tx.enqueue(payload(10), 0_ns);
+  tx.enqueue(payload(10), Nanos{0});
+  tx.enqueue(payload(10), Nanos{0});
   const auto p1 = tx.pull(100);
   const auto p2 = tx.pull(100);
   ASSERT_TRUE(p1 && p2);
@@ -186,7 +196,7 @@ TEST(RlcUmTest, NeverRetransmits) {
   // UM has no ARQ: a pulled PDU leaves the entity for good, and the SDU it
   // carried is never offered again (HARQ below is the recovery loop).
   RlcTx tx(RlcMode::UM);
-  tx.enqueue(payload(20), 0_ns);
+  tx.enqueue(payload(20), Nanos{0});
   const auto sent = tx.pull(64);
   ASSERT_TRUE(sent.has_value());
   EXPECT_FALSE(tx.has_data());
@@ -203,7 +213,7 @@ TEST(RlcUmTest, NeverRetransmits) {
 TEST(RlcUmTest, SnWrapsAtTwelveBits) {
   RlcTx tx(RlcMode::UM);
   for (int i = 0; i < 4097; ++i) {
-    tx.enqueue(payload(4), 0_ns);
+    tx.enqueue(payload(4), Nanos{0});
     auto pdu = tx.pull(16);
     ASSERT_TRUE(pdu.has_value());
     const std::uint16_t want = static_cast<std::uint16_t>(i & 0x0FFF);
@@ -218,8 +228,8 @@ TEST(RlcUmTest, DeliveryCarriesTheSn) {
   // Complete and reassembled SDUs both reach PDCP tagged with their RLC SN.
   RlcTx tx(RlcMode::UM);
   RlcRx rx(RlcMode::UM);
-  tx.enqueue(payload(10, 0x01), 0_ns);
-  tx.enqueue(payload(100, 0x02), 0_ns);
+  tx.enqueue(payload(10, 0x01), Nanos{0});
+  tx.enqueue(payload(100, 0x02), Nanos{0});
   std::vector<std::uint16_t> tx_sns;
   std::vector<std::uint16_t> rx_sns;
   std::vector<ByteBuffer> out;
@@ -261,7 +271,7 @@ TEST_P(SegmentationTest, ReassembledEqualsOriginal) {
   const auto [sdu_size, grant] = GetParam();
   RlcTx tx(RlcMode::UM);
   RlcRx rx(RlcMode::UM);
-  tx.enqueue(payload(static_cast<std::size_t>(sdu_size), 0x30), 0_ns);
+  tx.enqueue(payload(static_cast<std::size_t>(sdu_size), 0x30), Nanos{0});
 
   std::vector<ByteBuffer> out;
   int pdus = 0;
@@ -285,7 +295,7 @@ INSTANTIATE_TEST_SUITE_P(SizesByGrants, SegmentationTest,
 TEST(SegmentationTest, OutOfOrderSegmentsReassemble) {
   RlcTx tx(RlcMode::UM);
   RlcRx rx(RlcMode::UM);
-  tx.enqueue(payload(100, 0x11), 0_ns);
+  tx.enqueue(payload(100, 0x11), Nanos{0});
   std::vector<ByteBuffer> pdus;
   while (auto p = tx.pull(40)) pdus.push_back(std::move(p->pdu));
   ASSERT_GE(pdus.size(), 3u);
@@ -302,7 +312,7 @@ TEST(SegmentationTest, OutOfOrderSegmentsReassemble) {
 TEST(SegmentationTest, DuplicateSegmentIgnored) {
   RlcTx tx(RlcMode::UM);
   RlcRx rx(RlcMode::UM);
-  tx.enqueue(payload(100, 0x22), 0_ns);
+  tx.enqueue(payload(100, 0x22), Nanos{0});
   std::vector<ByteBuffer> pdus;
   while (auto p = tx.pull(40)) pdus.push_back(std::move(p->pdu));
 
@@ -320,7 +330,7 @@ TEST(SegmentationTest, DuplicateSegmentIgnored) {
 TEST(SegmentationTest, MissingSegmentHoldsReassembly) {
   RlcTx tx(RlcMode::UM);
   RlcRx rx(RlcMode::UM);
-  tx.enqueue(payload(100, 0x33), 0_ns);
+  tx.enqueue(payload(100, 0x33), Nanos{0});
   std::vector<ByteBuffer> pdus;
   while (auto p = tx.pull(40)) pdus.push_back(std::move(p->pdu));
   ASSERT_GE(pdus.size(), 3u);
@@ -339,8 +349,8 @@ TEST(SegmentationTest, LostSegmentDoesNotBlockLaterSdus) {
   // in-order delivery is PDCP's job).
   RlcTx tx(RlcMode::UM);
   RlcRx rx(RlcMode::UM);
-  tx.enqueue(payload(100, 0x44), 0_ns);
-  tx.enqueue(payload(20, 0x55), 0_ns);
+  tx.enqueue(payload(100, 0x44), Nanos{0});
+  tx.enqueue(payload(20, 0x55), Nanos{0});
   std::vector<RlcTxPdu> pdus;
   while (auto p = tx.pull(40)) pdus.push_back(std::move(*p));
   ASSERT_GE(pdus.size(), 4u);  // >= 3 segments of SDU 0, then SDU 1 whole

@@ -174,41 +174,6 @@ TEST(MergeTest, SampleSetMergeEqualsSerialAccumulation) {
   EXPECT_EQ(a.quantile(0.999), serial.quantile(0.999));
 }
 
-TEST(MergeTest, HistogramMergeAddsBins) {
-  Histogram h1(0.0, 10.0, 10), h2(0.0, 10.0, 10), all(0.0, 10.0, 10);
-  Rng rng(9);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(-1.0, 12.0);  // exercise clamp bins too
-    (i % 2 == 0 ? h1 : h2).add(x);
-    all.add(x);
-  }
-  h1.merge(h2);
-  EXPECT_EQ(h1.total(), all.total());
-  for (std::size_t i = 0; i < all.bin_count(); ++i) EXPECT_EQ(h1.bin(i), all.bin(i)) << i;
-}
-
-TEST(MergeTest, HistogramMergeRejectsGeometryMismatch) {
-  Histogram a(0.0, 10.0, 10), b(0.0, 10.0, 20), c(0.0, 5.0, 10);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(MergeTest, RunningStatsMergeMatchesSerial) {
-  Rng rng(11);
-  RunningStats serial, a, b;
-  for (int i = 0; i < 400; ++i) {
-    const double x = rng.lognormal(1.0, 0.5);
-    serial.add(x);
-    (i % 3 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), serial.count());
-  EXPECT_NEAR(a.mean(), serial.mean(), 1e-9);
-  EXPECT_NEAR(a.stddev(), serial.stddev(), 1e-9);
-  EXPECT_EQ(a.min(), serial.min());
-  EXPECT_EQ(a.max(), serial.max());
-}
-
 // ---------------------------------------------------------------------------
 // run_replications: determinism across thread counts
 

@@ -19,7 +19,7 @@ using namespace u5g::literals;
 TEST(QosTest, UrllcRowIsDelayCritical) {
   const FiveQi q = urllc_five_qi();
   EXPECT_EQ(q.value, 85);
-  EXPECT_TRUE(q.delay_critical());
+  EXPECT_EQ(q.resource, ResourceType::DelayCriticalGBR);
   EXPECT_EQ(q.packet_delay_budget, 5_ms);
   EXPECT_DOUBLE_EQ(q.packet_error_rate, 1e-5);  // the paper's 99.999 %
 }
@@ -30,7 +30,6 @@ TEST(QosTest, DefaultRowIsBestEffortFiveQi9) {
   const FiveQi d{};
   EXPECT_EQ(d.value, 9);
   EXPECT_EQ(d.resource, ResourceType::NonGBR);
-  EXPECT_FALSE(d.delay_critical());
   EXPECT_EQ(d.packet_delay_budget, 300_ms);
   const FiveQi u = urllc_five_qi();
   EXPECT_LT(u.packet_delay_budget, d.packet_delay_budget);
@@ -58,14 +57,21 @@ TEST(SdapTest, UnconfiguredFlowThrows) {
 }
 
 TEST(SdapTest, FlowMappings) {
+  // Every configured QFI, the 6-bit extremes included, is accepted; any
+  // other is refused, and a QFI past 6 bits cannot be configured.
   SdapEntity sdap;
-  sdap.configure_flow(1, BearerId{10}, FiveQi{});  // 5QI 9
-  sdap.configure_flow(2, BearerId{20}, urllc_five_qi());
-  EXPECT_EQ(sdap.flow_count(), 2u);
-  EXPECT_EQ(sdap.bearer_of(1), BearerId{10});
-  EXPECT_EQ(sdap.bearer_of(2), BearerId{20});
-  EXPECT_FALSE(sdap.bearer_of(3).has_value());
-  EXPECT_EQ(sdap.qos_of(2)->value, 85);
+  sdap.configure_flow(0, BearerId{10}, FiveQi{});  // 5QI 9
+  sdap.configure_flow(63, BearerId{20}, urllc_five_qi());
+  for (const std::uint8_t qfi : {std::uint8_t{0}, std::uint8_t{63}}) {
+    ByteBuffer b(4);
+    sdap.encapsulate(b, qfi);
+    EXPECT_EQ(sdap.decapsulate(b), qfi);
+  }
+  ByteBuffer b(4);
+  EXPECT_THROW(sdap.encapsulate(b, 1), std::invalid_argument);
+  EXPECT_THROW(sdap.encapsulate(b, 64), std::invalid_argument);
+  EXPECT_THROW(sdap.configure_flow(64, BearerId{1}, FiveQi{}), std::invalid_argument);
+  EXPECT_EQ(b.size(), 4u) << "a refused SDU keeps its bytes";
 }
 
 TEST(SdapTest, QfiIsSixBits) {
@@ -145,7 +151,7 @@ TEST(UpfTest, SharedCoreQueuesBehindEmbb) {
   // §9 "URLLC in the 5G Core": a shared core adds queuing that a dedicated
   // one does not.
   Upf dedicated{UpfParams::dedicated_urllc(), Rng{5}};
-  Upf shared{UpfParams::shared_with_embb(0.5), Rng{5}};
+  Upf shared{UpfParams{.embb_load = 0.5}, Rng{5}};
   double ded_sum = 0.0;
   double shr_sum = 0.0;
   for (int i = 0; i < 3000; ++i) {

@@ -119,10 +119,10 @@ TEST(TddCommonConfigTest, MapIsPeriodic) {
 
 TEST(TddCommonConfigTest, SlotHasQueries) {
   const TddCommonConfig c = TddCommonConfig::dm(kMu2);
-  EXPECT_TRUE(c.slot_has_dl(0));
-  EXPECT_FALSE(c.slot_has_ul(0));
-  EXPECT_TRUE(c.slot_has_dl(1));  // mixed slot has both
-  EXPECT_TRUE(c.slot_has_ul(1));
+  EXPECT_NE(c.dl_mask(0), 0);
+  EXPECT_EQ(c.ul_mask(0), 0);
+  EXPECT_NE(c.dl_mask(1), 0);  // mixed slot has both
+  EXPECT_NE(c.ul_mask(1), 0);
 }
 
 TEST(TddCommonConfigTest, TwoPatternConfig) {
@@ -174,8 +174,8 @@ TEST_P(SlotFormatIndexTest, SelfConsistent) {
   EXPECT_EQ(f.index, GetParam());
   const std::string r = f.render();
   ASSERT_EQ(r.size(), 14u);
-  EXPECT_EQ(f.has_dl(), r.find('D') != std::string::npos);
-  EXPECT_EQ(f.has_ul(), r.find('U') != std::string::npos);
+  EXPECT_EQ(f.mask(SymbolKind::Downlink) != 0, r.find('D') != std::string::npos);
+  EXPECT_EQ(f.mask(SymbolKind::Uplink) != 0, r.find('U') != std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, SlotFormatIndexTest, ::testing::Range(0, 46));
@@ -285,8 +285,6 @@ TEST(SlotMaskContractTest, MasksFitFourteenBitsAndAgreeWithSymbolQueries) {
       const std::uint16_t ul = cfg->ul_mask(slot);
       EXPECT_EQ(dl & ~kSlotSymbolMask, 0) << cfg->name() << " slot " << slot;
       EXPECT_EQ(ul & ~kSlotSymbolMask, 0) << cfg->name() << " slot " << slot;
-      EXPECT_EQ(cfg->slot_has_dl(slot), dl != 0);
-      EXPECT_EQ(cfg->slot_has_ul(slot), ul != 0);
       for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
         EXPECT_EQ(cfg->dl_capable(slot, sym), ((dl >> sym) & 1u) != 0) << cfg->name();
         EXPECT_EQ(cfg->ul_capable(slot, sym), ((ul >> sym) & 1u) != 0) << cfg->name();

@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,27 +19,7 @@
 #include "trace/chrome_trace.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting global allocator: the disabled-tracing overhead assertion below
-// measures heap traffic across a window of warm e2e work.
-
-namespace {
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "counting_alloc.hpp"
 
 namespace u5g {
 namespace {

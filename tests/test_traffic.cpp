@@ -1,87 +1,14 @@
-// Tests for the traffic generators (src/app).
+// Tests for the aggregate arrival draws (src/app/traffic.hpp).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "app/traffic.hpp"
 #include "common/stats.hpp"
 
 namespace u5g {
 namespace {
-
-using namespace u5g::literals;
-
-TEST(UniformInPatternTest, OneArrivalPerPeriodInsideIt) {
-  Simulator sim;
-  UniformInPattern src{2_ms, Rng{5}};
-  std::vector<Nanos> arrivals;
-  std::vector<int> seqs;
-  src.start(sim, 50, [&](Nanos now, int seq) {
-    arrivals.push_back(now);
-    seqs.push_back(seq);
-  });
-  sim.run_until();
-  ASSERT_EQ(arrivals.size(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(seqs[static_cast<std::size_t>(i)], i);
-    // Arrival i lies within period i.
-    EXPECT_GE(arrivals[static_cast<std::size_t>(i)], 2_ms * i);
-    EXPECT_LT(arrivals[static_cast<std::size_t>(i)], 2_ms * (i + 1));
-  }
-}
-
-TEST(UniformInPatternTest, OffsetsAreSpread) {
-  Simulator sim;
-  UniformInPattern src{1_ms, Rng{6}};
-  RunningStats offsets;
-  src.start(sim, 500, [&](Nanos now, int seq) {
-    offsets.add((now - 1_ms * seq).us());
-  });
-  sim.run_until();
-  // Uniform over [0, 1000) µs: mean ~500, std ~289.
-  EXPECT_NEAR(offsets.mean(), 500.0, 50.0);
-  EXPECT_NEAR(offsets.stddev(), 289.0, 40.0);
-}
-
-TEST(PeriodicTrafficTest, ExactGrid) {
-  Simulator sim;
-  PeriodicTraffic src{500_us, 100_us};
-  std::vector<Nanos> arrivals;
-  src.start(sim, 5, [&](Nanos now, int) { arrivals.push_back(now); });
-  sim.run_until();
-  ASSERT_EQ(arrivals.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(arrivals[static_cast<std::size_t>(i)], 100_us + 500_us * i);
-  }
-}
-
-TEST(PoissonTrafficTest, MeanInterarrival) {
-  Simulator sim;
-  PoissonTraffic src{1_ms, Rng{7}};
-  std::vector<Nanos> arrivals;
-  src.start(sim, 2000, [&](Nanos now, int) { arrivals.push_back(now); });
-  sim.run_until();
-  ASSERT_EQ(arrivals.size(), 2000u);
-  RunningStats gaps;
-  for (std::size_t i = 1; i < arrivals.size(); ++i) {
-    gaps.add((arrivals[i] - arrivals[i - 1]).us());
-  }
-  EXPECT_NEAR(gaps.mean(), 1000.0, 60.0);
-  // Exponential: std ~ mean.
-  EXPECT_NEAR(gaps.stddev(), 1000.0, 120.0);
-}
-
-TEST(TrafficTest, StopsAfterCount) {
-  Simulator sim;
-  PoissonTraffic src{10_us, Rng{8}};
-  int n = 0;
-  src.start(sim, 7, [&](Nanos, int) { ++n; });
-  sim.run_until();
-  EXPECT_EQ(n, 7);
-  EXPECT_TRUE(sim.idle());
-}
 
 // ---------------------------------------------------------------------------
 // poisson_count: the aggregate per-slot arrival draw of a UE population
